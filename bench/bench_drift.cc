@@ -12,7 +12,9 @@
 //     replay × prefilter) runs more than --threshold percent (default 20)
 //     slower than its baseline (the first revision that recorded the cell)
 //     for --sustain consecutive revisions (default 2). One slow revision is
-//     treated as machine noise; two in a row is drift.
+//     treated as machine noise; two in a row is drift. Only archives from
+//     before the checkpoint engine's removal carry a "replay" field; a cell
+//     without one keys as replay-off, so that history lines up.
 //   * identical_to_serial false anywhere — the parallel sweep diverged from
 //     the serial oracle at archive time. Always an error.
 //

@@ -6,12 +6,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include "src/analysis/races.h"
 #include "src/bugs/registry.h"
 #include "src/core/causality.h"
 #include "src/core/lifs.h"
 #include "src/hv/enforcer.h"
 #include "src/sim/builder.h"
-#include "src/sim/hb.h"
 #include "src/sim/policy.h"
 
 namespace {

@@ -1,24 +1,22 @@
-// Parallel LIFS frontier exploration — worker-count × replay-cache ×
-// triage-pre-filter sweep (DESIGN.md §9, §12, §13).
+// Parallel LIFS frontier exploration — worker-count × triage-pre-filter
+// sweep (DESIGN.md §9, §13).
 //
 // Runs LIFS on the multi-interleaving corpus scenarios at several worker
-// counts with checkpoint/prefix-replay off and on, follows each with a
-// Causality Analysis pass with the static triage pre-filter off and on,
-// verifies that every cell is identical to the serial replay-off
-// prefilter-off one (the §9/§12/§13 determinism contract), and writes the
-// sweep to BENCH_parallel_lifs.json:
+// counts, follows each with a Causality Analysis pass with the static triage
+// pre-filter off and on, verifies that every cell is identical to the serial
+// prefilter-off one (the §9/§13 determinism contract), and writes the sweep
+// to BENCH_parallel_lifs.json:
 //
 //   $ bench_parallel_lifs                              # defaults below
 //   $ bench_parallel_lifs --workers=1,2,4 --repeat=9 \
 //         --scenarios=CVE-2017-15649,syz-02 --out=sweep.json
 //   $ bench_parallel_lifs --baseline=old_sweep.json    # regression check
 //
-// Per (scenario, workers, replay, prefilter) cell the minimum wall time over
-// --repeat runs is reported (minimum, not mean: scheduling noise only ever adds
-// time), together with the executed/replayed step split from the run budget.
-// Speedups are relative to the measured workers=1 replay-off cell of the
-// same binary; hardware_concurrency is recorded so single-CPU CI hosts are
-// readable as such.
+// Per (scenario, workers, prefilter) cell the minimum wall time over --repeat
+// runs is reported (minimum, not mean: scheduling noise only ever adds time).
+// Speedups are relative to the measured workers=1 cell of the same binary;
+// hardware_concurrency is recorded so single-CPU CI hosts are readable as
+// such.
 //
 // --baseline=FILE compares this sweep against an archived one: schedule
 // counts must match bit-exactly (hard failure — the search semantics
@@ -37,7 +35,6 @@
 #include "src/bugs/registry.h"
 #include "src/core/causality.h"
 #include "src/core/lifs.h"
-#include "src/obs/metrics.h"
 #include "src/svc/jsonv.h"
 #include "src/util/stopwatch.h"
 #include "src/util/strings.h"
@@ -62,7 +59,7 @@ std::vector<std::string> SplitCsv(const std::string& text) {
   return out;
 }
 
-// The fields the serial/parallel/replay contract pins down, flattened for
+// The fields the serial/parallel contract pins down, flattened for
 // equality. budget.steps stays out: parallel batches legitimately overshoot.
 std::string ResultKey(const LifsResult& r) {
   return StrFormat("reproduced=%d k=%d executed=%lld pruned=%lld schedule=%s", r.reproduced ? 1 : 0,
@@ -88,7 +85,6 @@ std::string CaKey(const CausalityResult& r) {
 
 struct Cell {
   size_t workers = 0;
-  bool replay = false;
   bool prefilter = false;
   double seconds = 0;
   // Causality Analysis pass over the same failing run: wall time and the
@@ -103,22 +99,12 @@ struct Cell {
   double depth_seconds = 0;
   int64_t schedules = 0;
   int64_t speculative = 0;
-  // Run-budget step split of the best rep: replay on trades executed for
-  // replayed while the total stays cold-run-equivalent.
-  int64_t executed_steps = 0;
-  int64_t replayed_steps = 0;
-  // ckpt.* counter deltas of the best rep (all zero with replay off).
-  int64_t ckpt_hits = 0;
-  int64_t ckpt_misses = 0;
-  int64_t ckpt_stores = 0;
-  int64_t ckpt_evictions = 0;
   bool identical = false;
 };
 
 // One archived cell from a --baseline file.
 struct BaselineCell {
   size_t workers = 0;
-  bool replay = false;
   bool prefilter = false;
   double seconds = 0;
 };
@@ -166,12 +152,8 @@ bool LoadBaseline(const std::string& path,
         if (const svc::JsonValue* w = c.Find("workers"); w != nullptr) {
           cell.workers = static_cast<size_t>(w->AsInt());
         }
-        // Pre-replay baselines have no "replay" field; treat them as the
-        // replay-off cells they were. Same for pre-prefilter baselines and
-        // "prefilter".
-        if (const svc::JsonValue* r = c.Find("replay"); r != nullptr) {
-          cell.replay = r->AsBool();
-        }
+        // Pre-prefilter baselines have no "prefilter" field; treat them as
+        // the prefilter-off cells they were.
         if (const svc::JsonValue* pf = c.Find("prefilter"); pf != nullptr) {
           cell.prefilter = pf->AsBool();
         }
@@ -227,7 +209,7 @@ int main(int argc, char** argv) {
   }
   if (scenario_ids.empty()) {
     // Default to the bugs that need k >= 2: their frontiers are the widest,
-    // so they are where parallel exploration and prefix replay can help.
+    // so they are where parallel exploration can help.
     for (const ScenarioEntry& e : AllScenarios()) {
       if (e.make().truth.expected_interleavings >= 2) {
         scenario_ids.push_back(e.id);
@@ -267,79 +249,62 @@ int main(int argc, char** argv) {
     std::string serial_key;
     double serial_seconds = 0;
     for (size_t w : workers) {
-      for (const bool replay : {false, true}) {
-        for (const bool prefilter : {false, true}) {
-          Cell cell;
-          cell.workers = w;
-          cell.replay = replay;
-          cell.prefilter = prefilter;
-          cell.seconds = -1;
-          cell.ca_seconds = -1;
-          for (int rep = 0; rep < repeat; ++rep) {
-            LifsOptions options;
-            options.target_type = s.truth.failure_type;
-            options.workers = w;
-            options.checkpointing = replay;
-            Lifs lifs(s.image.get(), s.slice, s.setup, options);
-            const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
-            Stopwatch watch;
-            LifsResult r = lifs.Run();
-            const double elapsed = watch.ElapsedSeconds();
-            if (cell.seconds < 0 || elapsed < cell.seconds) {
-              cell.seconds = elapsed;
-              cell.discovery_seconds = r.discovery_seconds;
-              cell.depth_seconds = r.depth_seconds;
-              cell.executed_steps = r.budget.executed_steps;
-              cell.replayed_steps = r.budget.replayed_steps;
-              const obs::MetricsSnapshot delta =
-                  obs::MetricsRegistry::Global().Snapshot().Delta(before);
-              cell.ckpt_hits = delta.counter("ckpt.hits");
-              cell.ckpt_misses = delta.counter("ckpt.misses");
-              cell.ckpt_stores = delta.counter("ckpt.stores");
-              cell.ckpt_evictions = delta.counter("ckpt.evictions");
-            }
-            cell.schedules = r.schedules_executed;
-            cell.speculative = r.speculative_runs;
-
-            CausalityOptions co;
-            co.workers = w;
-            co.checkpointing = replay;
-            if (!prefilter) {
-              co.stages.clear();
-            }
-            CausalityAnalysis ca(s.image.get(), s.slice, s.setup, &r, co);
-            Stopwatch ca_watch;
-            CausalityResult cr = ca.Run();
-            const double ca_elapsed = ca_watch.ElapsedSeconds();
-            if (cell.ca_seconds < 0 || ca_elapsed < cell.ca_seconds) {
-              cell.ca_seconds = ca_elapsed;
-            }
-            cell.flips_executed = cr.schedules_executed;
-            cell.flips_skipped = cr.flips_skipped;
-
-            const std::string key = ResultKey(r) + " " + CaKey(cr);
-            if (w == workers.front() && !replay && !prefilter && rep == 0) {
-              serial_key = key;
-            }
-            cell.identical = key == serial_key;
-            all_identical = all_identical && cell.identical;
+      for (const bool prefilter : {false, true}) {
+        Cell cell;
+        cell.workers = w;
+        cell.prefilter = prefilter;
+        cell.seconds = -1;
+        cell.ca_seconds = -1;
+        for (int rep = 0; rep < repeat; ++rep) {
+          LifsOptions options;
+          options.target_type = s.truth.failure_type;
+          options.workers = w;
+          Lifs lifs(s.image.get(), s.slice, s.setup, options);
+          Stopwatch watch;
+          LifsResult r = lifs.Run();
+          const double elapsed = watch.ElapsedSeconds();
+          if (cell.seconds < 0 || elapsed < cell.seconds) {
+            cell.seconds = elapsed;
+            cell.discovery_seconds = r.discovery_seconds;
+            cell.depth_seconds = r.depth_seconds;
           }
-          if (w == workers.front() && !replay && !prefilter) {
-            serial_seconds = cell.seconds;
+          cell.schedules = r.schedules_executed;
+          cell.speculative = r.speculative_runs;
+
+          CausalityOptions co;
+          co.workers = w;
+          if (!prefilter) {
+            co.stages.clear();
           }
-          cells.push_back(cell);
+          CausalityAnalysis ca(s.image.get(), s.slice, s.setup, &r, co);
+          Stopwatch ca_watch;
+          CausalityResult cr = ca.Run();
+          const double ca_elapsed = ca_watch.ElapsedSeconds();
+          if (cell.ca_seconds < 0 || ca_elapsed < cell.ca_seconds) {
+            cell.ca_seconds = ca_elapsed;
+          }
+          cell.flips_executed = cr.schedules_executed;
+          cell.flips_skipped = cr.flips_skipped;
+
+          const std::string key = ResultKey(r) + " " + CaKey(cr);
+          if (w == workers.front() && !prefilter && rep == 0) {
+            serial_key = key;
+          }
+          cell.identical = key == serial_key;
+          all_identical = all_identical && cell.identical;
         }
+        if (w == workers.front() && !prefilter) {
+          serial_seconds = cell.seconds;
+        }
+        cells.push_back(cell);
       }
     }
 
     std::printf("%-18s\n", id.c_str());
     for (const Cell& c : cells) {
-      std::printf("  w=%zu replay=%-3s prefilter=%-3s %8.3fms (x%.2f)  "
-                  "executed=%lld replayed=%lld flips=%lld skipped=%lld%s\n",
-                  c.workers, c.replay ? "on" : "off", c.prefilter ? "on" : "off",
-                  c.seconds * 1e3, c.seconds > 0 ? serial_seconds / c.seconds : 0.0,
-                  static_cast<long long>(c.executed_steps),
-                  static_cast<long long>(c.replayed_steps),
+      std::printf("  w=%zu prefilter=%-3s %8.3fms (x%.2f)  flips=%lld skipped=%lld%s\n",
+                  c.workers, c.prefilter ? "on" : "off", c.seconds * 1e3,
+                  c.seconds > 0 ? serial_seconds / c.seconds : 0.0,
                   static_cast<long long>(c.flips_executed),
                   static_cast<long long>(c.flips_skipped), c.identical ? "" : "  DIFF!");
     }
@@ -360,13 +325,12 @@ int main(int argc, char** argv) {
       }
       for (const BaselineCell& bc : bs.cells) {
         for (const Cell& c : cells) {
-          if (c.workers == bc.workers && c.replay == bc.replay &&
-              c.prefilter == bc.prefilter && bc.seconds > 0 &&
+          if (c.workers == bc.workers && c.prefilter == bc.prefilter && bc.seconds > 0 &&
               c.seconds > bc.seconds * 1.2) {
             std::fprintf(stderr,
-                         "bench_parallel_lifs: DRIFT %s w=%zu replay=%s %.3fms -> %.3fms "
+                         "bench_parallel_lifs: DRIFT %s w=%zu prefilter=%s %.3fms -> %.3fms "
                          "(+%.0f%%)\n",
-                         id.c_str(), c.workers, c.replay ? "on" : "off", bc.seconds * 1e3,
+                         id.c_str(), c.workers, c.prefilter ? "on" : "off", bc.seconds * 1e3,
                          c.seconds * 1e3, (c.seconds / bc.seconds - 1.0) * 100.0);
             ++drift_flags;
           }
@@ -378,28 +342,18 @@ int main(int argc, char** argv) {
                       static_cast<long long>(cells.front().schedules));
     for (size_t ci = 0; ci < cells.size(); ++ci) {
       const Cell& c = cells[ci];
-      json += StrFormat("%s{\"workers\": %zu, \"replay\": %s, \"prefilter\": %s, "
+      json += StrFormat("%s{\"workers\": %zu, \"prefilter\": %s, "
                         "\"seconds\": %.6f, "
                         "\"speedup\": %.3f, "
                         "\"phases\": {\"discovery_seconds\": %.6f, \"depth_seconds\": %.6f}, "
                         "\"speculative_runs\": %lld, "
-                        "\"executed_steps\": %lld, \"replayed_steps\": %lld, "
-                        "\"ckpt\": {\"hits\": %lld, \"misses\": %lld, \"stores\": %lld, "
-                        "\"evictions\": %lld}, "
                         "\"ca_seconds\": %.6f, "
                         "\"flips\": {\"executed\": %lld, \"skipped\": %lld}, "
                         "\"identical_to_serial\": %s}",
-                        ci == 0 ? "" : ", ", c.workers, c.replay ? "true" : "false",
-                        c.prefilter ? "true" : "false", c.seconds,
-                        c.seconds > 0 ? serial_seconds / c.seconds : 0.0,
+                        ci == 0 ? "" : ", ", c.workers, c.prefilter ? "true" : "false",
+                        c.seconds, c.seconds > 0 ? serial_seconds / c.seconds : 0.0,
                         c.discovery_seconds, c.depth_seconds,
-                        static_cast<long long>(c.speculative),
-                        static_cast<long long>(c.executed_steps),
-                        static_cast<long long>(c.replayed_steps),
-                        static_cast<long long>(c.ckpt_hits), static_cast<long long>(c.ckpt_misses),
-                        static_cast<long long>(c.ckpt_stores),
-                        static_cast<long long>(c.ckpt_evictions),
-                        c.ca_seconds,
+                        static_cast<long long>(c.speculative), c.ca_seconds,
                         static_cast<long long>(c.flips_executed),
                         static_cast<long long>(c.flips_skipped),
                         c.identical ? "true" : "false");
@@ -421,7 +375,7 @@ int main(int argc, char** argv) {
                  drift_flags);
   }
   if (!all_identical) {
-    std::fprintf(stderr, "bench_parallel_lifs: RESULT DIVERGED FROM SERIAL REPLAY-OFF RUN\n");
+    std::fprintf(stderr, "bench_parallel_lifs: RESULT DIVERGED FROM SERIAL RUN\n");
     return 1;
   }
   if (!baseline_schedules_match) {

@@ -8,8 +8,7 @@
 // races — they surface as *critical-section pairs*, which Causality Analysis
 // flips as a unit (§3.4 "Liveness").
 //
-// This is the stable home of the static-analysis layer (DESIGN.md §13); the
-// historical location `src/sim/hb.h` is a compatibility shim over this file.
+// This is the home of the static-analysis layer (DESIGN.md §13).
 
 #ifndef SRC_ANALYSIS_RACES_H_
 #define SRC_ANALYSIS_RACES_H_

@@ -4,7 +4,7 @@
 #ifndef SRC_BASELINES_RACECOUNT_H_
 #define SRC_BASELINES_RACECOUNT_H_
 
-#include "src/sim/hb.h"
+#include "src/analysis/races.h"
 #include "src/sim/kernel.h"
 
 namespace aitia {

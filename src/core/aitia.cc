@@ -1,9 +1,7 @@
 #include "src/core/aitia.h"
 
 #include <algorithm>
-#include <memory>
 
-#include "src/ckpt/store.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/log.h"
@@ -40,12 +38,6 @@ AitiaOptions& AitiaOptions::set_event_scope(uint64_t scope) {
   lifs.supervisor.event_scope = scope;
   causality.event_scope = scope;
   causality.supervisor.event_scope = scope;
-  return *this;
-}
-
-AitiaOptions& AitiaOptions::set_replay_cache(bool enabled) {
-  lifs.checkpointing = enabled;
-  causality.checkpointing = enabled;
   return *this;
 }
 
@@ -144,30 +136,6 @@ void FinalizeReport(AitiaReport& report) {
   }
 }
 
-// One checkpoint store per slice, shared between that slice's LIFS search
-// and its Causality Analysis so flip tests reuse the baseline the search
-// captured. Stores are scoped to one (image, slice, setup) — per-slice
-// creation is a correctness requirement, not a tuning choice — so the facade
-// never reuses one across slices. Returns nullptr when checkpointing is off
-// or the caller already supplied a store.
-std::unique_ptr<ckpt::CheckpointStore> MakeSliceStore(const AitiaOptions& options) {
-  if (!options.lifs.checkpointing || options.lifs.checkpoint_store != nullptr) {
-    return nullptr;
-  }
-  ckpt::StoreOptions so;
-  so.event_scope = options.lifs.event_scope;
-  return std::make_unique<ckpt::CheckpointStore>(so);
-}
-
-CausalityOptions SliceCausalityOptions(const AitiaOptions& options,
-                                       ckpt::CheckpointStore* store) {
-  CausalityOptions co = options.causality;
-  if (store != nullptr && co.checkpointing && co.checkpoint_store == nullptr) {
-    co.checkpoint_store = store;
-  }
-  return co;
-}
-
 AitiaReport DiagnoseSliceImpl(const KernelImage& image, const std::vector<ThreadSpec>& slice,
                               const std::vector<ThreadSpec>& setup,
                               const AitiaOptions& options) {
@@ -176,19 +144,13 @@ AitiaReport DiagnoseSliceImpl(const KernelImage& image, const std::vector<Thread
   report.used_slice.threads = slice;
   report.used_slice.setup = setup;
 
-  std::unique_ptr<ckpt::CheckpointStore> store = MakeSliceStore(options);
-  LifsOptions lifs_options = options.lifs;
-  if (store != nullptr) {
-    lifs_options.checkpoint_store = store.get();
-  }
-  Lifs lifs(&image, slice, setup, lifs_options);
+  Lifs lifs(&image, slice, setup, options.lifs);
   report.lifs = lifs.Run();
   if (!report.lifs.reproduced) {
     FinalizeReport(report);
     return report;
   }
-  CausalityAnalysis ca(&image, slice, setup, &report.lifs,
-                       SliceCausalityOptions(options, store.get()));
+  CausalityAnalysis ca(&image, slice, setup, &report.lifs, options.causality);
   report.causality = ca.Run();
   report.diagnosed = true;
   FinalizeReport(report);
@@ -212,18 +174,9 @@ AitiaReport DiagnoseHistoryImpl(const KernelImage& image, const ExecutionHistory
     // Parallel reproducing stage: one LIFS instance per slice, keep the
     // highest-priority slice that reproduced.
     std::vector<LifsResult> results(slices.size());
-    // Per-slice checkpoint stores outlive the parallel stage so the winning
-    // slice's Causality Analysis can resume from the prefixes its own LIFS
-    // search deposited.
-    std::vector<std::unique_ptr<ckpt::CheckpointStore>> stores(slices.size());
     ThreadPool pool(options.reproducer_workers);
     ParallelFor(pool, slices.size(), [&](size_t i) {
-      stores[i] = MakeSliceStore(slice_options);
-      LifsOptions lifs_options = slice_options.lifs;
-      if (stores[i] != nullptr) {
-        lifs_options.checkpoint_store = stores[i].get();
-      }
-      Lifs lifs(&image, slices[i].threads, slices[i].setup, lifs_options);
+      Lifs lifs(&image, slices[i].threads, slices[i].setup, slice_options.lifs);
       results[i] = lifs.Run();
     });
     for (size_t i = 0; i < slices.size(); ++i) {
@@ -232,7 +185,7 @@ AitiaReport DiagnoseHistoryImpl(const KernelImage& image, const ExecutionHistory
         report.used_slice = slices[i];
         report.lifs = std::move(results[i]);
         CausalityAnalysis ca(&image, slices[i].threads, slices[i].setup, &report.lifs,
-                             SliceCausalityOptions(slice_options, stores[i].get()));
+                             slice_options.causality);
         report.causality = ca.Run();
         report.diagnosed = true;
         FinalizeReport(report);
@@ -244,12 +197,7 @@ AitiaReport DiagnoseHistoryImpl(const KernelImage& image, const ExecutionHistory
 
   for (const Slice& slice : slices) {
     ++report.slices_tried;
-    std::unique_ptr<ckpt::CheckpointStore> store = MakeSliceStore(slice_options);
-    LifsOptions lifs_options = slice_options.lifs;
-    if (store != nullptr) {
-      lifs_options.checkpoint_store = store.get();
-    }
-    Lifs lifs(&image, slice.threads, slice.setup, lifs_options);
+    Lifs lifs(&image, slice.threads, slice.setup, slice_options.lifs);
     LifsResult result = lifs.Run();
     if (!result.reproduced) {
       // Remember why the most recent attempt came up empty; budget-cut
@@ -263,7 +211,7 @@ AitiaReport DiagnoseHistoryImpl(const KernelImage& image, const ExecutionHistory
     report.used_slice = slice;
     report.lifs = std::move(result);
     CausalityAnalysis ca(&image, slice.threads, slice.setup, &report.lifs,
-                         SliceCausalityOptions(slice_options, store.get()));
+                         slice_options.causality);
     report.causality = ca.Run();
     report.diagnosed = true;
     FinalizeReport(report);

@@ -54,13 +54,6 @@ struct AitiaOptions {
   // drain flag so in-flight diagnoses deadline-out instead of blocking exit.
   AitiaOptions& set_cancel(std::function<bool()> cancel);
 
-  // Toggles prefix-replay checkpointing (src/ckpt) for both stages. When on
-  // (the default), the facade creates one CheckpointStore per slice and
-  // shares it between that slice's LIFS search and its Causality Analysis;
-  // results are bit-identical either way (the CLI's --no-replay-cache flag
-  // lands here).
-  AitiaOptions& set_replay_cache(bool enabled);
-
   // Toggles the static triage pre-filter in front of Causality Analysis's
   // dynamic flip tests (DESIGN.md §13). On restores the default stage
   // pipeline {hb, lockset, mhp}; off clears it so every candidate flips (the
@@ -87,6 +80,8 @@ struct AitiaReport {
   bool degraded = false;
   // Pipeline-level health; non-ok explains a false `diagnosed` that was due
   // to budget/deadline exhaustion rather than genuine non-reproduction.
+  // kInvalidArgument means the scenario itself cannot run (its setup phase
+  // faulted or outran its step budget).
   Status status;
   size_t slices_tried = 0;
   Slice used_slice;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <set>
 
 #include "src/obs/events.h"
@@ -348,15 +347,6 @@ CausalityResult CausalityAnalysis::Run() {
   // and retry streams are stable regardless of worker interleaving.
   SupervisorOptions so = options_.supervisor;
   so.max_steps = options_.max_steps_per_run;
-  std::unique_ptr<ckpt::CheckpointStore> owned_store;
-  if (options_.checkpointing) {
-    if (options_.checkpoint_store == nullptr) {
-      owned_store = std::make_unique<ckpt::CheckpointStore>(
-          ckpt::StoreOptions{.event_scope = options_.event_scope});
-    }
-    so.checkpoints =
-        options_.checkpoint_store != nullptr ? options_.checkpoint_store : owned_store.get();
-  }
   Supervisor supervisor(image_, so);
   std::vector<RunResult> flip_runs(items.size());
   std::vector<Status> flip_status(items.size());

@@ -43,14 +43,6 @@ struct CausalityOptions {
   // plan. `supervisor.max_steps` is overridden by max_steps_per_run. A flip
   // test that fails every attempt is reported kInconclusive — never benign.
   SupervisorOptions supervisor;
-  // Prefix-replay checkpointing (src/ckpt, DESIGN.md §12): backward flip
-  // tests restore the longest matching total-order prefix instead of
-  // re-executing it. Verdicts and chains are bit-identical either way.
-  // Ignored while the supervisor's fault plan is enabled.
-  bool checkpointing = true;
-  // Store to use (not owned) — the facade shares the slice's LIFS store so
-  // flips reuse its baseline; nullptr makes the analysis own a private one.
-  ckpt::CheckpointStore* checkpoint_store = nullptr;
   // Static triage pre-filter (DESIGN.md §13): an ordered pipeline of stages
   // run over each candidate before the dynamic flip. A kProvablyBenign
   // verdict skips the re-execution and synthesizes the (proven) benign

@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "src/analysis/races.h"
 #include "src/sim/failure.h"
-#include "src/sim/hb.h"
 #include "src/sim/program.h"
 
 namespace aitia {

@@ -51,11 +51,9 @@ struct LifsMetrics {
   }
 };
 
-SupervisorOptions LifsSupervisorOptions(const LifsOptions& options,
-                                        ckpt::CheckpointStore* store) {
+SupervisorOptions LifsSupervisorOptions(const LifsOptions& options) {
   SupervisorOptions so = options.supervisor;
   so.max_steps = options.max_steps_per_run;
-  so.checkpoints = store;
   return so;
 }
 
@@ -204,16 +202,7 @@ Lifs::Lifs(const KernelImage* image, std::vector<ThreadSpec> slice,
       slice_(std::move(slice)),
       setup_(std::move(setup)),
       options_(options),
-      owned_store_(options.checkpointing && options.checkpoint_store == nullptr
-                       ? std::make_unique<ckpt::CheckpointStore>(
-                             ckpt::StoreOptions{.event_scope = options.event_scope})
-                       : nullptr),
-      supervisor_(image,
-                  LifsSupervisorOptions(
-                      options, options.checkpointing
-                                   ? (options.checkpoint_store != nullptr ? options.checkpoint_store
-                                                                          : owned_store_.get())
-                                   : nullptr)) {}
+      supervisor_(image, LifsSupervisorOptions(options)) {}
 
 bool Lifs::SearchCutShort() {
   if (!result_.status.ok()) {
@@ -333,11 +322,7 @@ bool Lifs::Execute(const PreemptionSchedule& schedule, int interleavings) {
       slice_, schedule, setup_, static_cast<uint64_t>(result_.schedules_executed));
   ++result_.schedules_executed;
   if (!supervised.ok()) {
-    // The run was lost after every retry (deadline, livelock, injected
-    // fault). Nothing usable was observed; skip the schedule and move on —
-    // LIFS completeness degrades gracefully instead of crashing or learning
-    // from a corrupt partial trace.
-    ++result_.aborted_runs;
+    AbsorbLoss(supervised.status());
     span.Arg("aborted", true);
     return false;
   }
@@ -345,6 +330,21 @@ bool Lifs::Execute(const PreemptionSchedule& schedule, int interleavings) {
       Absorb(*supervised, schedule, interleavings, TraceFingerprint(supervised->run));
   span.Arg("failed", supervised->run.failure.has_value()).Arg("matched", matched);
   return matched;
+}
+
+bool Lifs::AbsorbLoss(const Status& status) {
+  if (status.code() == StatusCode::kInvalidArgument) {
+    // The slice's setup phase faulted or never finished: the input itself is
+    // broken and every run would fail alike, so the search ends here.
+    result_.status = status;
+    return true;
+  }
+  // Lost after every retry (deadline, livelock, injected fault). Nothing
+  // usable was observed; skip the schedule and move on — LIFS completeness
+  // degrades gracefully instead of crashing or learning from a corrupt
+  // partial trace.
+  ++result_.aborted_runs;
+  return false;
 }
 
 bool Lifs::Absorb(EnforceResult& er, const PreemptionSchedule& schedule, int interleavings,
@@ -444,7 +444,10 @@ bool Lifs::RunFrontier(const FrontierFn& next, int interleavings, ThreadPool* po
     for (size_t i = 0; i < batch.size(); ++i) {
       ++result_.schedules_executed;
       if (!runs[i].supervised.ok()) {
-        ++result_.aborted_runs;
+        if (AbsorbLoss(runs[i].supervised.status())) {
+          result_.speculative_runs += static_cast<int64_t>(batch.size() - i - 1);
+          return false;
+        }
         continue;
       }
       if (Absorb(*runs[i].supervised, batch[i], interleavings,

@@ -30,16 +30,14 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "src/ckpt/store.h"
+#include "src/analysis/races.h"
 #include "src/hv/enforcer.h"
 #include "src/hv/supervisor.h"
-#include "src/sim/hb.h"
 #include "src/sim/kernel.h"
 #include "src/util/status.h"
 #include "src/util/stopwatch.h"
@@ -78,16 +76,6 @@ struct LifsOptions {
   // (fewest-preemptions, front-to-back) order — the result is bit-identical
   // to the serial search for any worker count (see DESIGN.md §9).
   size_t workers = 1;
-  // Prefix-replay checkpointing (src/ckpt, DESIGN.md §12): sibling frontier
-  // schedules resume from shared prefixes instead of re-executing from step
-  // 0. Results are bit-identical at any worker count; only wall-clock and
-  // the executed/replayed step split change. Ignored while the supervisor's
-  // fault plan is enabled.
-  bool checkpointing = true;
-  // Store to use (not owned) — the facade passes a per-slice store shared
-  // with Causality Analysis; nullptr makes Lifs own a private one. The store
-  // is scoped to one (image, slice, setup): never share across slices.
-  ckpt::CheckpointStore* checkpoint_store = nullptr;
   // Progress-event scope (src/obs/events.h): nonzero tags this search's
   // lifecycle events so a streaming subscriber sees only its own request.
   // 0 (the default) publishes nothing. Events are write-only observability;
@@ -125,8 +113,10 @@ struct LifsResult {
   int interleaving_count = 0;
   int64_t schedules_executed = 0;
   int64_t schedules_pruned = 0;  // skipped as equivalent before running
-  // Non-ok when the search was cut short (search deadline); `reproduced`
-  // stays the primary signal — status explains *why* it is false.
+  // Non-ok when the search was cut short (search deadline, cancellation) or
+  // could not run at all (kInvalidArgument: the setup phase faulted or
+  // outran its step budget); `reproduced` stays the primary signal — status
+  // explains *why* it is false.
   Status status;
   // Runs lost to supervision (every attempt failed); the search skips them.
   int64_t aborted_runs = 0;
@@ -181,6 +171,9 @@ class Lifs {
   // canonical schedule order. Returns true on a match.
   bool Absorb(EnforceResult& er, const PreemptionSchedule& schedule, int interleavings,
               std::string fingerprint);
+  // Shared bookkeeping for a run lost to supervision. Returns true when the
+  // loss ends the search (invalid input; result_.status is then set).
+  bool AbsorbLoss(const Status& status);
   // Walks one frontier to exhaustion, a match, or a budget cut. Serial when
   // `pool` is null; otherwise dispatches batches across the pool and merges
   // at batch barriers. Returns true if the failure was reproduced.
@@ -199,9 +192,6 @@ class Lifs {
   std::vector<ThreadSpec> slice_;
   std::vector<ThreadSpec> setup_;
   LifsOptions options_;
-  // Private store when checkpointing is on and no external store was given;
-  // declared before supervisor_, whose options capture the raw pointer.
-  std::unique_ptr<ckpt::CheckpointStore> owned_store_;
   Supervisor supervisor_;
   Stopwatch search_watch_;
 

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <deque>
-#include <memory>
 #include <set>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
-#include "src/ckpt/store.h"
 #include "src/util/log.h"
 #include "src/util/strings.h"
 
@@ -45,15 +42,6 @@ constexpr int64_t kInterruptPollSteps = 256;
 class RunSupervision {
  public:
   explicit RunSupervision(const EnforceOptions& options) : options_(options) {}
-
-  // Re-primes the watchdog from a checkpoint so a resumed run trips (or does
-  // not trip) at exactly the step the cold run would.
-  void Prime(int64_t last_progress, int64_t progress_step) {
-    last_progress_ = last_progress;
-    progress_step_ = progress_step;
-  }
-  int64_t last_progress() const { return last_progress_; }
-  int64_t progress_step() const { return progress_step_; }
 
   // `progress` is any monotone marker of schedule progress; `status` is set
   // and true returned when the run must stop.
@@ -116,19 +104,6 @@ void AnnotateStall(const KernelSim& kernel, RunResult& r) {
   r.failure = f;
 }
 
-std::vector<DynInstr> SortedSeen(const std::unordered_set<DynInstr>& seen) {
-  std::vector<DynInstr> v(seen.begin(), seen.end());
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
-// Gap to the next strided deposit: proportional to how far the run has come,
-// so a long run makes O(log)-ish deposits instead of O(steps/stride) — the
-// capture cost of a deposit is itself O(state), and state grows with the run.
-int64_t DepositGap(int64_t stride, int64_t progress) {
-  return std::max(stride, progress / 32);
-}
-
 }  // namespace
 
 std::string PreemptionSchedule::ToString() const {
@@ -164,51 +139,21 @@ EnforceResult Enforcer::RunPreemption(const std::vector<ThreadSpec>& threads,
                                       const EnforceOptions& options) {
   const int64_t max_steps = options.max_steps;
   FaultInjector* faults = options.faults;
-  // Checkpointing and fault injection are mutually exclusive (see
-  // EnforceOptions::checkpoints); faults win.
-  ckpt::CheckpointStore* store = faults != nullptr ? nullptr : options.checkpoints;
   EnforceResult result;
+
+  KernelSim kernel(image_, threads, setup);
+  if (!kernel.setup_status().ok()) {
+    result.status = kernel.setup_status();
+    return result;
+  }
 
   std::vector<bool> consumed(schedule.points.size(), false);
   std::vector<ThreadId> park_fifo;
   ThreadId current = kNoThread;
   int64_t steps = 0;
   int64_t points_fired = 0;
-  int64_t replayed = 0;
-  std::vector<PreemptPoint> fired_seq;
-  std::unordered_set<DynInstr> pre_seen;
-  std::unordered_set<DynInstr> post_seen;
   Watchpoints wps;
   RunSupervision supervision(options);
-
-  // Resume from the longest valid prefix, else from the post-setup baseline,
-  // else construct cold (and deposit the baseline for every later run).
-  std::unique_ptr<KernelSim> owned;
-  if (store != nullptr) {
-    if (std::optional<ckpt::PreemptHit> hit = store->FindPreemptPrefix(schedule)) {
-      owned = std::move(hit->sim);
-      const ckpt::PreemptPrefixState& st = *hit->state;
-      consumed = std::move(hit->consumed);
-      park_fifo = st.park_fifo;
-      current = st.current;
-      steps = replayed = st.steps;
-      points_fired = static_cast<int64_t>(st.fired.size());
-      fired_seq = st.fired;
-      pre_seen.insert(st.pre_seen.begin(), st.pre_seen.end());
-      post_seen.insert(st.post_seen.begin(), st.post_seen.end());
-      wps.RestoreState(st.armed, st.hits);
-      supervision.Prime(st.last_progress, st.progress_step);
-    } else if (std::unique_ptr<KernelSim> base = store->FindBaseline()) {
-      owned = std::move(base);
-    }
-  }
-  if (owned == nullptr) {
-    owned = std::make_unique<KernelSim>(image_, threads, setup);
-    if (store != nullptr) {
-      store->PutBaseline(*owned);
-    }
-  }
-  KernelSim& kernel = *owned;
 
   // Delayed watchpoint delivery (fault seam): events are buffered and fed to
   // the observer `watchpoint_delay` retirements late, order preserved.
@@ -227,9 +172,6 @@ EnforceResult Enforcer::RunPreemption(const std::vector<ThreadSpec>& threads,
     }
   });
 
-  int64_t last_deposit = steps;
-  bool deposit_pending = false;
-
   auto pick = [&]() -> ThreadId {
     ThreadId tid = MinRankRunnable(kernel, schedule.base_order);
     if (tid != kNoThread) {
@@ -247,29 +189,6 @@ EnforceResult Enforcer::RunPreemption(const std::vector<ThreadSpec>& threads,
   };
 
   while (!kernel.failure().has_value() && steps < max_steps) {
-    // Deposit a prefix checkpoint at the loop top: right after a point fired
-    // (the high-value branch points sibling schedules share), plus strided
-    // along point-free stretches. Only strictly-new work is deposited —
-    // a resumed run never re-deposits its own restored prefix.
-    if (store != nullptr && steps > replayed &&
-        (deposit_pending ||
-         steps - last_deposit >=
-             DepositGap(store->options().preempt_stride_steps, steps))) {
-      ckpt::PreemptPrefixState st;
-      st.fired = fired_seq;
-      st.park_fifo = park_fifo;
-      st.current = current;
-      st.steps = steps;
-      st.armed = wps.armed();
-      st.hits = wps.hits();
-      st.pre_seen = SortedSeen(pre_seen);
-      st.post_seen = SortedSeen(post_seen);
-      st.last_progress = supervision.last_progress();
-      st.progress_step = supervision.progress_step();
-      store->PutPreemptPrefix(kernel, schedule.base_order, std::move(st));
-      last_deposit = steps;
-      deposit_pending = false;
-    }
     // Schedule progress = retired events + fired points; a loop of blocked
     // steps or spurious wakeups that fires nothing eventually trips the
     // watchdog.
@@ -293,12 +212,6 @@ EnforceResult Enforcer::RunPreemption(const std::vector<ThreadSpec>& threads,
       }
     }
     std::optional<DynInstr> dyn = kernel.NextDynInstr(current);
-    // Opportunity tracking for the store's prefix-validity probe: every
-    // instruction that reaches the before-point scan below could have fired a
-    // before point here.
-    if (store != nullptr && dyn.has_value()) {
-      pre_seen.insert(*dyn);
-    }
 
     // Breakpoint-hit semantics: a "before" point parks the thread without
     // retiring the instruction, arming a watchpoint over the address the
@@ -314,8 +227,6 @@ EnforceResult Enforcer::RunPreemption(const std::vector<ThreadSpec>& threads,
       }
       consumed[pi] = true;
       ++points_fired;
-      fired_seq.push_back(point);
-      deposit_pending = store != nullptr;
       if (auto peek = kernel.PeekAccess(current)) {
         wps.Arm(*dyn, peek->addr, peek->len, peek->is_write);
       }
@@ -341,9 +252,6 @@ EnforceResult Enforcer::RunPreemption(const std::vector<ThreadSpec>& threads,
       current = kNoThread;  // blocked on a lock; reschedule
       continue;
     }
-    if (store != nullptr && dyn.has_value()) {
-      post_seen.insert(*dyn);
-    }
     if (kernel.failure().has_value()) {
       break;
     }
@@ -357,8 +265,6 @@ EnforceResult Enforcer::RunPreemption(const std::vector<ThreadSpec>& threads,
       }
       consumed[pi] = true;
       ++points_fired;
-      fired_seq.push_back(schedule.points[pi]);
-      deposit_pending = store != nullptr;
       // Arm a watchpoint over what the preempted instruction touched, as the
       // hypervisor does right before resuming the other thread (Figure 8).
       const ExecEvent& last = kernel.trace().back();
@@ -390,7 +296,6 @@ EnforceResult Enforcer::RunPreemption(const std::vector<ThreadSpec>& threads,
     delayed.pop_front();
   }
   result.steps = steps;
-  result.replayed_steps = replayed;
   result.run = kernel.Collect();
   if (result.status.ok()) {
     if (steps >= max_steps && !result.run.failure.has_value()) {
@@ -411,69 +316,21 @@ EnforceResult Enforcer::RunTotalOrder(const std::vector<ThreadSpec>& threads,
                                       const std::vector<ThreadSpec>& setup,
                                       const EnforceOptions& options) {
   const int64_t max_steps = options.max_steps;
-  ckpt::CheckpointStore* store = options.faults != nullptr ? nullptr : options.checkpoints;
   EnforceResult result;
+
+  KernelSim kernel(image_, threads, setup);
+  if (!kernel.setup_status().ok()) {
+    result.status = kernel.setup_status();
+    return result;
+  }
 
   std::set<ThreadId> diverged;
   std::set<ThreadId> injected_irqs;
   size_t i = 0;
   int64_t steps = 0;
-  int64_t replayed = 0;
   RunSupervision supervision(options);
 
-  std::unique_ptr<KernelSim> owned;
-  if (store != nullptr) {
-    if (std::optional<ckpt::TotalOrderHit> hit = store->FindTotalOrderPrefix(schedule)) {
-      owned = std::move(hit->sim);
-      const ckpt::TotalOrderPrefixState& st = *hit->state;
-      i = st.prefix.size();
-      steps = replayed = st.steps;
-      diverged.insert(st.diverged.begin(), st.diverged.end());
-      injected_irqs.insert(st.injected_irqs.begin(), st.injected_irqs.end());
-      result.disappeared = st.disappeared;
-      result.deviations = st.deviations;
-      supervision.Prime(st.last_progress, st.progress_step);
-    } else if (std::unique_ptr<KernelSim> base = store->FindBaseline()) {
-      owned = std::move(base);
-    }
-  }
-  if (owned == nullptr) {
-    owned = std::make_unique<KernelSim>(image_, threads, setup);
-    if (store != nullptr) {
-      store->PutBaseline(*owned);
-    }
-  }
-  KernelSim& kernel = *owned;
-
-  size_t last_deposit_i = i;
-  size_t prev_i = i;
-
   while (!kernel.failure().has_value() && steps < max_steps && i < schedule.sequence.size()) {
-    // Deposit at the *first* arrival of a sequence index: only there is the
-    // enforcer state a pure function of sequence[0..i) + setup + IRQ
-    // contexts (holder-drain iterations mutate state at a fixed i). Flip
-    // schedules share the original trace's prefix up to their flip window,
-    // so backward-ordered flip tests restore progressively shorter prefixes.
-    if (store != nullptr && i != prev_i) {
-      prev_i = i;
-      if (steps > replayed &&
-          static_cast<int64_t>(i - last_deposit_i) >=
-              DepositGap(store->options().total_order_stride, static_cast<int64_t>(i))) {
-        ckpt::TotalOrderPrefixState st;
-        st.prefix.assign(schedule.sequence.begin(),
-                         schedule.sequence.begin() + static_cast<std::ptrdiff_t>(i));
-        st.irq_threads = schedule.irq_threads;
-        st.diverged.assign(diverged.begin(), diverged.end());
-        st.injected_irqs.assign(injected_irqs.begin(), injected_irqs.end());
-        st.disappeared = result.disappeared;
-        st.steps = steps;
-        st.deviations = result.deviations;
-        st.last_progress = supervision.last_progress();
-        st.progress_step = supervision.progress_step();
-        store->PutTotalOrderPrefix(kernel, std::move(st));
-        last_deposit_i = i;
-      }
-    }
     // Progress = the schedule index: a liveness drain that spins a lock
     // holder without ever unblocking the scheduled thread is a livelock the
     // step budget alone would take orders of magnitude longer to catch.
@@ -570,7 +427,6 @@ EnforceResult Enforcer::RunTotalOrder(const std::vector<ThreadSpec>& threads,
   }
 
   result.steps = steps;
-  result.replayed_steps = replayed;
   result.run = kernel.Collect();
   if (result.status.ok()) {
     if (steps >= max_steps && !result.run.failure.has_value()) {

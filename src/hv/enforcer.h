@@ -22,10 +22,6 @@
 
 namespace aitia {
 
-namespace ckpt {
-class CheckpointStore;  // src/ckpt/store.h
-}  // namespace ckpt
-
 // Per-run enforcement knobs. The plain-`max_steps` overloads below cover the
 // common case; the supervisor (src/hv/supervisor.h) fills in the rest.
 struct EnforceOptions {
@@ -41,23 +37,17 @@ struct EnforceOptions {
   // Polled every few hundred steps; a non-ok Status aborts the run with that
   // status. The supervisor uses this for wall-clock deadlines.
   std::function<Status()> interrupt;
-  // Prefix-replay cache (not owned); nullptr runs cold. Ignored whenever
-  // `faults` is set: fault streams are consumed per executed step, so a
-  // restored prefix would skip fault rolls and desynchronize the stream.
-  ckpt::CheckpointStore* checkpoints = nullptr;
 };
 
 struct EnforceResult {
   RunResult run;
   // Health of the enforcement itself: non-ok when the run was cut short
-  // (deadline, livelock watchdog, injected fault) and `run` is partial. The
-  // kernel-level symptom, if any, stays in run.failure.
+  // (deadline, livelock watchdog, injected fault) and `run` is partial, or
+  // never started (kInvalidArgument: the setup phase faulted or outran its
+  // step budget; `run` is empty). The kernel-level symptom, if any, stays in
+  // run.failure.
   Status status;
   int64_t steps = 0;
-  // Of `steps`, how many came from a restored checkpoint prefix instead of
-  // being executed in this run. `steps` itself stays the cold-run-equivalent
-  // total so budgets, watchdogs, and histograms are checkpoint-invariant.
-  int64_t replayed_steps = 0;
   // Entries of a total-order schedule that never executed because a
   // race-steered control flow made the thread bypass them (§3.4).
   std::vector<DynInstr> disappeared;

@@ -39,11 +39,6 @@ struct PreemptPoint {
   // switches to it; `switch_to` is ignored.
   ProgramId inject_irq = kNoProgram;
   Word irq_arg = 0;
-
-  // Full identity comparison — the checkpoint store's prefix-validity probe
-  // requires that a reused fired point match in *every* field, switch target
-  // and IRQ payload included.
-  friend bool operator==(const PreemptPoint&, const PreemptPoint&) = default;
 };
 
 struct PreemptionSchedule {

@@ -4,7 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "src/ckpt/store.h"
 #include "src/obs/events.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -60,7 +59,6 @@ void PublishBudgetDelta(const RunBudget& delta) {
   m.watchdog_trips->Add(delta.watchdog_trips);
   m.injected_faults->Add(delta.injected_faults);
   m.steps->Add(delta.steps);
-  ckpt::AddStepAccounting(delta.executed_steps, delta.replayed_steps);
 }
 
 }  // namespace
@@ -75,8 +73,6 @@ void RunBudget::Merge(const RunBudget& other) {
   watchdog_trips += other.watchdog_trips;
   injected_faults += other.injected_faults;
   steps += other.steps;
-  executed_steps += other.executed_steps;
-  replayed_steps += other.replayed_steps;
   backoff_ms += other.backoff_ms;
 }
 
@@ -125,9 +121,6 @@ StatusOr<EnforceResult> Supervisor::SuperviseAccounted(const RunFn& run, uint64_
     eo.max_steps = options_.max_steps;
     eo.stall_limit = options_.stall_limit;
     eo.faults = options_.faults.enabled() ? &injector : nullptr;
-    // Chaos runs bypass the replay cache: fault streams roll per executed
-    // step, so a restored prefix would desynchronize them.
-    eo.checkpoints = options_.faults.enabled() ? nullptr : options_.checkpoints;
     Stopwatch watch;
     if (options_.deadline_seconds > 0 || options_.cancel) {
       const double deadline = options_.deadline_seconds;
@@ -146,8 +139,6 @@ StatusOr<EnforceResult> Supervisor::SuperviseAccounted(const RunFn& run, uint64_
     EnforceResult er = run(eo);
     ++delta.attempts;
     delta.steps += er.steps;
-    delta.executed_steps += er.steps - er.replayed_steps;
-    delta.replayed_steps += er.replayed_steps;
     delta.injected_faults += injector.counters().total();
     SupervisorMetrics::Get().run_steps->Record(er.steps);
     if (const int64_t faults = injector.counters().total(); faults > 0) {

@@ -56,10 +56,6 @@ struct SupervisorOptions {
   // within one step rather than spending its remaining budget. The service
   // layer points this at its drain flag and request deadline.
   std::function<bool()> cancel;
-  // Prefix-replay cache shared by every run under this supervisor (not
-  // owned); nullptr runs cold. Automatically bypassed while fault injection
-  // is enabled — chaos runs must re-roll every step.
-  ckpt::CheckpointStore* checkpoints = nullptr;
   // Progress-event scope (src/obs/events.h): nonzero publishes supervision
   // interventions (retries, deadline expirations, watchdog trips) to a
   // streaming subscriber; 0 publishes nothing.
@@ -76,12 +72,7 @@ struct RunBudget {
   int64_t deadline_expirations = 0;
   int64_t watchdog_trips = 0;
   int64_t injected_faults = 0;       // fault events across all attempts
-  // `steps` stays the cold-run-equivalent total (replayed + executed), so
-  // budgets and the run_steps histogram read the same with checkpointing on
-  // or off; the split below says how much of it was actually re-executed.
   int64_t steps = 0;                 // simulator steps across all attempts
-  int64_t executed_steps = 0;        // steps actually executed this process
-  int64_t replayed_steps = 0;        // steps restored from checkpoint prefixes
   int64_t backoff_ms = 0;            // total deterministic jitter slept
 
   void Merge(const RunBudget& other);

@@ -26,15 +26,6 @@ struct WatchpointHit {
 
 class Watchpoints {
  public:
-  // One armed watchpoint; exposed so the checkpoint engine (src/ckpt) can
-  // snapshot and re-prime mid-run enforcement state.
-  struct Armed {
-    DynInstr owner;
-    Addr addr = 0;
-    Addr len = 1;
-    bool owner_is_write = false;
-  };
-
   void Arm(DynInstr owner, Addr addr, Addr len, bool owner_is_write) {
     armed_.push_back({owner, addr, len, owner_is_write});
   }
@@ -62,17 +53,15 @@ class Watchpoints {
   }
 
   const std::vector<WatchpointHit>& hits() const { return hits_; }
-  const std::vector<Armed>& armed() const { return armed_; }
-
-  // Re-primes the full watchpoint state from a checkpoint (prefix replay):
-  // the resumed run continues with exactly the armed set and accumulated hits
-  // the cold run had at the same step.
-  void RestoreState(std::vector<Armed> armed, std::vector<WatchpointHit> hits) {
-    armed_ = std::move(armed);
-    hits_ = std::move(hits);
-  }
 
  private:
+  struct Armed {
+    DynInstr owner;
+    Addr addr = 0;
+    Addr len = 1;
+    bool owner_is_write = false;
+  };
+
   std::vector<Armed> armed_;
   std::vector<WatchpointHit> hits_;
 };

@@ -16,8 +16,6 @@ const char* DiagPhaseName(DiagPhase phase) {
       return "started";
     case DiagPhase::kLifs:
       return "lifs";
-    case DiagPhase::kCkpt:
-      return "ckpt";
     case DiagPhase::kSupervision:
       return "supervision";
     case DiagPhase::kTriage:

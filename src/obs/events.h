@@ -50,7 +50,6 @@ enum class DiagPhase {
   kQueued,      // accepted by the daemon admission queue
   kStarted,     // a worker picked the request up
   kLifs,        // LIFS search progress (per frontier pass / reproduction)
-  kCkpt,        // checkpoint store activity (baseline deposit, eviction)
   kSupervision, // supervisor intervention (retry, deadline, watchdog)
   kTriage,      // static pre-filter summary
   kFlipTested,  // one dynamic flip test finished

@@ -48,7 +48,8 @@ KernelSim::KernelSim(const KernelImage* image, const std::vector<ThreadSpec>& in
       add_thread(spec);
     }
     // Run the whole setup phase (including anything it spawns) sequentially.
-    int64_t budget = 100000;
+    constexpr int64_t kSetupStepBudget = 100000;
+    int64_t budget = kSetupStepBudget;
     for (;;) {
       ThreadId next = kNoThread;
       for (const auto& t : threads_) {
@@ -57,14 +58,19 @@ KernelSim::KernelSim(const KernelImage* image, const std::vector<ThreadSpec>& in
           break;
         }
       }
-      if (next == kNoThread || failure_.has_value() || budget-- <= 0) {
+      if (next == kNoThread || failure_.has_value()) {
+        break;
+      }
+      if (budget-- <= 0) {
+        setup_status_ = Status::InvalidArgument(
+            StrFormat("setup phase exceeded its %lld-step budget",
+                      static_cast<long long>(kSetupStepBudget)));
         break;
       }
       Step(next);
     }
     if (failure_.has_value()) {
-      AITIA_LOG(kError) << "setup phase faulted: " << failure_->ToString();
-      std::abort();
+      setup_status_ = Status::InvalidArgument("setup phase faulted: " + failure_->ToString());
     }
     recording_ = true;
     setup_thread_count_ = static_cast<int>(threads_.size());

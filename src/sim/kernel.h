@@ -22,15 +22,12 @@
 #include "src/sim/memory.h"
 #include "src/sim/program.h"
 #include "src/sim/thread.h"
+#include "src/util/status.h"
 
 namespace aitia {
 
-namespace ckpt {
-class SimAccess;  // checkpoint/restore shim (src/ckpt/checkpoint.cc)
-}  // namespace ckpt
-
-// Everything a finished run yields; the input to race extraction (hb.h),
-// LIFS, and Causality Analysis.
+// Everything a finished run yields; the input to race extraction
+// (src/analysis/races.h), LIFS, and Causality Analysis.
 struct RunResult {
   std::optional<Failure> failure;
   std::vector<ExecEvent> trace;
@@ -59,7 +56,9 @@ class KernelSim {
   // close(), §4.2) run to completion sequentially during construction with
   // event recording disabled: their effects are visible in memory, but they
   // produce no trace events and therefore no spurious races against the
-  // concurrent threads. `initial` threads are created afterwards.
+  // concurrent threads. `initial` threads are created afterwards. A setup
+  // phase that faults or outruns its step budget is recorded in
+  // setup_status(), never aborted on.
   KernelSim(const KernelImage* image, const std::vector<ThreadSpec>& initial,
             const std::vector<ThreadSpec>& setup = {});
 
@@ -67,6 +66,10 @@ class KernelSim {
   KernelSim& operator=(const KernelSim&) = delete;
 
   const KernelImage& image() const { return *image_; }
+
+  // kInvalidArgument when the setup phase faulted (failure() then holds the
+  // fault) or exceeded its step budget; such a sim must not be run.
+  const Status& setup_status() const { return setup_status_; }
 
   // --- thread inspection ----------------------------------------------------
   int thread_count() const { return static_cast<int>(threads_.size()); }
@@ -131,14 +134,6 @@ class KernelSim {
   const Memory& memory() const { return memory_; }
 
  private:
-  // Checkpoint/restore (src/ckpt) serializes and rebuilds the full run state;
-  // it is the only code allowed to bypass the execution interface.
-  friend class ckpt::SimAccess;
-  // Restore shell: image wired up, no setup phase, no threads. ckpt::SimAccess
-  // overwrites every field right after.
-  struct RestoreShellTag {};
-  KernelSim(const KernelImage* image, RestoreShellTag) : image_(image), memory_(*image) {}
-
   ThreadContext& Mut(ThreadId tid) { return threads_[static_cast<size_t>(tid)]; }
 
   // Records one retired instruction; returns the event seq.
@@ -168,6 +163,7 @@ class KernelSim {
   // Number of threads consumed by the setup phase (they stay in threads_ as
   // exited contexts so ThreadIds remain dense).
   int setup_thread_count_ = 0;
+  Status setup_status_;
   // TLB shootdown state: the broadcasting thread and the contexts that have
   // not acknowledged yet.
   ThreadId ipi_broadcaster_ = kNoThread;

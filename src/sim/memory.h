@@ -24,10 +24,6 @@
 
 namespace aitia {
 
-namespace ckpt {
-class SimAccess;  // checkpoint/restore shim (src/ckpt/checkpoint.cc)
-}  // namespace ckpt
-
 struct HeapObject {
   Addr base = 0;        // first usable cell (after the leading redzone)
   Word cells = 0;       // usable size
@@ -85,8 +81,6 @@ class Memory {
   size_t object_count() const { return objects_.size(); }
 
  private:
-  friend class ckpt::SimAccess;
-
   enum class Shadow : uint8_t { kUnmapped, kAddressable, kFreed, kRedzone };
 
   Shadow ShadowAt(Addr addr) const;

@@ -42,7 +42,7 @@ struct Daemon::Metrics {
   obs::Gauge* queue_depth_peak;
   obs::Gauge* in_flight;
   obs::Gauge* draining;
-  obs::Histogram* request_ms;
+  obs::Histogram* request_us;
 
   static const Metrics& Get() {
     static const Metrics* const m = [] {
@@ -64,8 +64,10 @@ struct Daemon::Metrics {
       sm->queue_depth_peak = reg.GetGauge("svc.queue_depth_peak");
       sm->in_flight = reg.GetGauge("svc.in_flight");
       sm->draining = reg.GetGauge("svc.draining");
-      sm->request_ms =
-          reg.GetHistogram("svc.request_ms", {1, 5, 10, 50, 100, 500, 1000, 5000, 30000});
+      // Microseconds: a typical diagnosis finishes well under 1 ms.
+      sm->request_us = reg.GetHistogram(
+          "svc.request_us", {50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000,
+                             100000, 250000, 500000, 1000000, 5000000, 30000000});
       return sm;
     }();
     return *m;
@@ -518,7 +520,6 @@ void Daemon::RunDiagnose(const DiagnoseJob& job, const std::shared_ptr<OnceRespo
   AitiaOptions options;
   options.set_jobs(job.jobs);
   options.set_deadline(deadline_seconds);
-  options.set_replay_cache(options_.replay_cache);
   options.causality.stages = options_.triage_stages;
   if (job.relay != nullptr) {
     options.set_event_scope(job.relay->scope());
@@ -542,20 +543,25 @@ void Daemon::RunDiagnose(const DiagnoseJob& job, const std::shared_ptr<OnceRespo
   }
 
   AitiaReport report = DiagnoseScenario(job.scenario, options);
-  const std::string report_json = ReportToJson(report, *job.scenario.image);
-  const char* status_word = StatusWord(report);
+  // A scenario that parsed but cannot run (its setup phase faulted or never
+  // finished) is an input error, answered like malformed .ait.
+  const bool invalid = report.status.code() == StatusCode::kInvalidArgument;
+  const char* status_word = invalid ? "invalid_argument" : StatusWord(report);
+  const std::string report_json = invalid ? "" : ReportToJson(report, *job.scenario.image);
 
   m.completed->Increment();
-  if (std::string(status_word) == "degraded") {
+  if (invalid) {
+    m.errors_invalid->Increment();
+  } else if (std::string(status_word) == "degraded") {
     m.degraded->Increment();
   } else if (job.cacheable) {
     // Only clean outcomes are cacheable; see cache.h.
     cache_.Put(job.fingerprint, {status_word, report_json});
   }
   const double elapsed_ms = job.admitted.ElapsedMillis();
-  m.request_ms->Record(static_cast<int64_t>(elapsed_ms));
+  m.request_us->Record(static_cast<int64_t>(elapsed_ms * 1e3));
   std::string extra;
-  if (job.sarif) {
+  if (job.sarif && !invalid) {
     extra = ",\"sarif\":" + tools::ReportToSarif(job.scenario, report);
   }
   if (job.relay != nullptr) {
@@ -566,8 +572,9 @@ void Daemon::RunDiagnose(const DiagnoseJob& job, const std::shared_ptr<OnceRespo
     // transport before the single-shot responder fires.
     job.relay->Finish();
   }
-  respond->Send(ResultResponse(job.id, job.scenario.id, status_word, "miss", elapsed_ms,
-                               report_json, extra));
+  respond->Send(invalid ? ErrorResponse(job.id, status_word, report.status.ToString())
+                        : ResultResponse(job.id, job.scenario.id, status_word, "miss",
+                                         elapsed_ms, report_json, extra));
 
   m.in_flight->Add(-1);
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);

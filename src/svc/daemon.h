@@ -27,6 +27,7 @@
 //   - oversized / unparseable / unknown-verb input  -> "invalid_argument"
 //   - unknown corpus id                             -> "not_found"
 //   - malformed .ait text                           -> "invalid_argument"
+//   - setup phase faults or outruns its step budget -> "invalid_argument"
 //   - target queue shard full                       -> "overloaded" (+ retry_after_ms)
 //   - drain in progress                             -> "draining"
 //   - pipeline Status failure / watchdog / deadline -> "degraded" (partial report)
@@ -73,11 +74,6 @@ struct DaemonOptions {
   // How long Drain() lets in-flight work finish before arming the hard
   // cancel probe that deadlines it out.
   int64_t drain_grace_ms = 5000;
-  // Checkpoint/prefix-replay (src/ckpt) inside every diagnosis. Orthogonal
-  // to the result cache above: the cache skips whole repeat requests, the
-  // replay cache skips re-executed prefixes within one diagnosis. Chaos runs
-  // bypass both automatically.
-  bool replay_cache = true;
   // Static triage pre-filter stages applied inside every diagnosis
   // (DESIGN.md §13); empty disables the pre-filter (--no-prefilter). Chaos
   // runs disable it automatically — triage proofs assume faultless replay.

@@ -17,8 +17,8 @@
 // Exit codes (scriptable, CI-friendly):
 //   0  diagnosis complete (causality chain produced, supervision healthy)
 //   1  failure did not reproduce / no diagnosis
-//   2  input error: unreadable file, parse or assembly error, bad usage,
-//      unwritable --trace path
+//   2  input error: unreadable file, parse or assembly error, a setup phase
+//      that faults or never finishes, bad usage, unwritable --trace path
 //   3  diagnosis completed degraded (some flip tests exhausted their budget)
 
 #include <cstdio>
@@ -52,7 +52,7 @@ int Usage(FILE* to) {
   std::fprintf(to,
                "usage: aitia [--json] [--jobs N] [--trace FILE] [--metrics]\n"
                "             [--sarif FILE] [--metrics-json FILE]\n"
-               "             [--no-replay-cache] [--no-prefilter] [--triage SPEC]\n"
+               "             [--no-prefilter] [--triage SPEC]\n"
                "             [--log-level LEVEL] <trace.ait | scenario-id>\n"
                "       aitia --emit <scenario-id>   # print a corpus scenario as .ait\n"
                "       aitia --list                 # list corpus scenario ids\n"
@@ -262,6 +262,11 @@ int main(int argc, char** argv) {
   AitiaOptions options;
   tools::ApplySharedFlags(shared, options);
   AitiaReport report = DiagnoseScenario(scenario, options);
+  if (report.status.code() == StatusCode::kInvalidArgument) {
+    std::fprintf(stderr, "aitia: %s\n", report.status.ToString().c_str());
+    (void)write_trace();
+    return kExitInputError;
+  }
 
   if (const Status st = write_trace(); !st.ok()) {
     std::fprintf(stderr, "aitia: %s\n", st.ToString().c_str());

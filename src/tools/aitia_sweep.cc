@@ -257,7 +257,7 @@ ScenarioResult RunOne(const gen::GenOptions& options, int index) {
 
   if (index % kDifferentialStride == 0) {
     // Differential pass: pre-filter off + 4 flip workers must not change
-    // semantics (purity of triage, replay cache, and parallelism).
+    // semantics (purity of triage and parallelism).
     AitiaOptions alt = SweepOptions();
     alt.set_prefilter(false);
     alt.set_jobs(4);

@@ -50,13 +50,6 @@ struct Config {
   int64_t expect_bounded_queue = 0;  // 0 = skip the peak-depth check
   double timeout_seconds = 180.0;
   bool shutdown_after = false;
-  // Checkpoint/prefix-replay contract probe against the final metrics
-  // snapshot: "used" requires ckpt.hits > 0 and ckpt.replayed_steps > 0
-  // (the replay cache fires inside diagnoses even when the result cache
-  // absorbs the repeats); "unused" requires both to be 0 (daemon started
-  // with --no-replay-cache, or chaos mode — faults bypass the replay cache
-  // the same way they bypass the result cache). Empty skips the check.
-  std::string expect_replay_cache;
 };
 
 // Totals across all clients.
@@ -85,8 +78,6 @@ int Usage(FILE* to) {
                "  --max-retries N          retries per request on 'overloaded' (default 50)\n"
                "  --retry-sleep-ms N       floor between retries (default 20)\n"
                "  --expect-bounded-queue N fail if svc.queue_depth_peak exceeds N\n"
-               "  --expect-replay-cache M  used|unused: assert the ckpt.* replay-cache\n"
-               "                           metrics against the daemon's final snapshot\n"
                "  --timeout N              whole-run budget in seconds (default 180)\n"
                "  --shutdown               send the shutdown verb when done\n");
   return to == stdout ? 0 : 2;
@@ -301,12 +292,6 @@ int main(int argc, char** argv) {
       config.retry_sleep_ms = std::atoll(v);
     } else if (arg == "--expect-bounded-queue") {
       config.expect_bounded_queue = std::atoll(v);
-    } else if (arg == "--expect-replay-cache") {
-      config.expect_replay_cache = v;
-      if (config.expect_replay_cache != "used" && config.expect_replay_cache != "unused") {
-        std::fprintf(stderr, "aitiad_loadgen: --expect-replay-cache expects used|unused\n");
-        return Usage(stderr);
-      }
     } else if (arg == "--timeout") {
       config.timeout_seconds = std::atof(v);
     } else {
@@ -353,8 +338,6 @@ int main(int argc, char** argv) {
   // and its own books must agree with the contract.
   int64_t queue_depth_peak = -1;
   int64_t duplicate_responses = -1;
-  int64_t ckpt_hits = 0;
-  int64_t ckpt_replayed_steps = 0;
   bool daemon_alive = false;
   {
     Client probe;
@@ -374,16 +357,6 @@ int main(int argc, char** argv) {
           const svc::JsonValue* dup = s->Find("duplicate_responses");
           if (dup != nullptr) duplicate_responses = dup->AsInt();
         }
-        // ckpt.* is absent entirely when no diagnosis ever touched a store
-        // (e.g. --no-replay-cache from process start); absent counts as 0.
-        const svc::JsonValue* ckpt =
-            metrics != nullptr ? metrics->Find("ckpt") : nullptr;
-        if (ckpt != nullptr) {
-          const svc::JsonValue* hits = ckpt->Find("hits");
-          if (hits != nullptr) ckpt_hits = hits->AsInt();
-          const svc::JsonValue* replayed = ckpt->Find("replayed_steps");
-          if (replayed != nullptr) ckpt_replayed_steps = replayed->AsInt();
-        }
       }
       if (config.shutdown_after) {
         (void)probe.Call("{\"verb\":\"shutdown\",\"id\":\"loadgen-shutdown\"}");
@@ -400,17 +373,6 @@ int main(int argc, char** argv) {
       queue_depth_peak > config.expect_bounded_queue) {
     pass = false;
   }
-  // Replay-cache composition contract: the result cache absorbs repeat
-  // requests while the replay cache still fires inside the cache-miss
-  // diagnoses ("used"); chaos and --no-replay-cache leave it cold ("unused").
-  if (config.expect_replay_cache == "used" &&
-      (ckpt_hits <= 0 || ckpt_replayed_steps <= 0)) {
-    pass = false;
-  }
-  if (config.expect_replay_cache == "unused" &&
-      (ckpt_hits != 0 || ckpt_replayed_steps != 0)) {
-    pass = false;
-  }
 
   std::printf(
       "{\"pass\":%s,\"daemon_alive\":%s,\"timed_out\":%s,"
@@ -419,8 +381,7 @@ int main(int argc, char** argv) {
       "\"degraded\":%lld,\"not_reproduced\":%lld,\"overloaded_retried\":%lld,"
       "\"retries_exhausted\":%lld,\"cache_hits\":%lld,"
       "\"protocol_errors\":%lld,\"transport_errors\":%lld,"
-      "\"queue_depth_peak\":%lld,\"duplicate_responses\":%lld,"
-      "\"ckpt_hits\":%lld,\"ckpt_replayed_steps\":%lld}\n",
+      "\"queue_depth_peak\":%lld,\"duplicate_responses\":%lld}\n",
       pass ? "true" : "false", daemon_alive ? "true" : "false",
       timed_out ? "true" : "false", clock.ElapsedSeconds(), config.clients,
       config.rounds, ids.size(), static_cast<long long>(tally.sent.load()),
@@ -433,8 +394,6 @@ int main(int argc, char** argv) {
       static_cast<long long>(tally.protocol_errors.load()),
       static_cast<long long>(tally.transport_errors.load()),
       static_cast<long long>(queue_depth_peak),
-      static_cast<long long>(duplicate_responses),
-      static_cast<long long>(ckpt_hits),
-      static_cast<long long>(ckpt_replayed_steps));
+      static_cast<long long>(duplicate_responses));
   return pass ? 0 : 1;
 }

@@ -455,7 +455,6 @@ int main(int argc, char** argv) {
   if (shared.jobs_set) {
     options.jobs = shared.jobs;
   }
-  options.replay_cache = shared.replay_cache;
   options.triage_stages = aitia::tools::ResolveTriagePipeline(shared);
 
   // Probe the metrics destination upfront: an unwritable path must fail at

@@ -36,10 +36,6 @@ int MatchValueFlag(const char* binary, const char* flag, int argc, char** argv,
 ParseResult ParseSharedFlag(const char* binary, int argc, char** argv, int& i,
                             SharedFlags& flags) {
   const std::string arg = argv[i];
-  if (arg == "--no-replay-cache") {
-    flags.replay_cache = false;
-    return ParseResult::kParsed;
-  }
   if (arg == "--no-prefilter") {
     flags.prefilter = false;
     return ParseResult::kParsed;
@@ -97,10 +93,6 @@ const char* SharedFlagsHelp() {
       "  --jobs N          worker threads for the search and flip-test stages\n"
       "                    (0 = hardware concurrency; results are identical\n"
       "                    for any worker count)\n"
-      "  --no-replay-cache disable checkpoint/prefix-replay (src/ckpt): every\n"
-      "                    run re-executes from step 0. The diagnosis is\n"
-      "                    bit-identical either way; only wall-clock and the\n"
-      "                    ckpt.* metrics change\n"
       "  --no-prefilter    disable the static triage pre-filter: every race\n"
       "                    pays for its dynamic flip test. Chains and verdicts\n"
       "                    are bit-identical either way; only the re-execution\n"
@@ -128,7 +120,6 @@ void ApplySharedFlags(const SharedFlags& flags, AitiaOptions& options) {
   if (flags.jobs_set) {
     options.set_jobs(flags.jobs);
   }
-  options.set_replay_cache(flags.replay_cache);
   options.causality.stages = ResolveTriagePipeline(flags);
 }
 

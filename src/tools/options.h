@@ -1,10 +1,10 @@
 // Command-line flags shared by the aitia and aitiad binaries.
 //
 // Both tools drive the same diagnosis pipeline, so the flags that configure
-// it — worker counts, the checkpoint/replay cache, the static triage
-// pre-filter, log level — are parsed here once instead of being duplicated
-// (and drifting) in each main. Both `--flag value` and `--flag=value` forms
-// are accepted. Binary-specific flags stay in their mains.
+// it — worker counts, the static triage pre-filter, log level — are parsed
+// here once instead of being duplicated (and drifting) in each main. Both
+// `--flag value` and `--flag=value` forms are accepted. Binary-specific
+// flags stay in their mains.
 
 #ifndef SRC_TOOLS_OPTIONS_H_
 #define SRC_TOOLS_OPTIONS_H_
@@ -22,8 +22,6 @@ struct SharedFlags {
   // --jobs N: one worker count for every parallel pipeline stage.
   bool jobs_set = false;
   size_t jobs = 1;
-  // --no-replay-cache: disable checkpoint/prefix-replay (src/ckpt).
-  bool replay_cache = true;
   // --no-prefilter: run every dynamic flip test (triage pipeline cleared).
   bool prefilter = true;
   // --triage SPEC: comma-separated stage list, validated at parse time.
@@ -49,7 +47,7 @@ const char* SharedFlagsHelp();
 // wins over --triage), the --triage spec when given, else the default.
 analysis::TriagePipeline ResolveTriagePipeline(const SharedFlags& flags);
 
-// Applies every shared flag to `options` (jobs, replay cache, triage).
+// Applies every shared flag to `options` (jobs, triage).
 void ApplySharedFlags(const SharedFlags& flags, AitiaOptions& options);
 
 }  // namespace tools

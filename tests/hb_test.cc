@@ -1,9 +1,9 @@
-// Unit tests for happens-before analysis and race extraction (src/sim/hb).
+// Unit tests for happens-before analysis and race extraction (src/analysis/races).
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/races.h"
 #include "src/sim/builder.h"
-#include "src/sim/hb.h"
 #include "src/sim/policy.h"
 
 namespace aitia {

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/races.h"
 #include "src/sim/builder.h"
-#include "src/sim/hb.h"
 #include "src/sim/policy.h"
 #include "src/util/rng.h"
 

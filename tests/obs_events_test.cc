@@ -31,7 +31,6 @@ TEST(DiagPhaseNameTest, WireTokensAreStable) {
   EXPECT_STREQ(DiagPhaseName(DiagPhase::kQueued), "queued");
   EXPECT_STREQ(DiagPhaseName(DiagPhase::kStarted), "started");
   EXPECT_STREQ(DiagPhaseName(DiagPhase::kLifs), "lifs");
-  EXPECT_STREQ(DiagPhaseName(DiagPhase::kCkpt), "ckpt");
   EXPECT_STREQ(DiagPhaseName(DiagPhase::kSupervision), "supervision");
   EXPECT_STREQ(DiagPhaseName(DiagPhase::kTriage), "triage");
   EXPECT_STREQ(DiagPhaseName(DiagPhase::kFlipTested), "flip-tested");

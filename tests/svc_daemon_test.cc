@@ -6,7 +6,9 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <fstream>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +36,16 @@ JsonValue Parse(const std::string& line) {
 std::string Field(const JsonValue& doc, const char* key) {
   const JsonValue* v = doc.Find(key);
   return v != nullptr && v->is_string() ? v->AsString() : "";
+}
+
+// An inline-.ait diagnose request for one of the hostile traces in
+// tests/traces.
+std::string HostileAitRequest(const char* file) {
+  std::ifstream in(std::string(AITIA_HOSTILE_TRACE_DIR) + "/" + file);
+  std::ostringstream text;
+  text << in.rdbuf();
+  EXPECT_FALSE(text.str().empty()) << file;
+  return R"({"verb":"diagnose","id":"x","ait":")" + JsonEscape(text.str()) + "\"}";
 }
 
 DaemonOptions SmallOptions() {
@@ -103,7 +115,7 @@ TEST(DaemonTest, CacheHitOnRepeatAndIdempotentReport) {
 TEST(DaemonTest, CrashIsolationMalformedInputsThenSuccess) {
   Daemon daemon(SmallOptions());
   // A hostile parade: every one must yield a structured error response...
-  const char* hostile[] = {
+  const std::string hostile[] = {
       "{not json",
       "[1,2,3]",
       "\"just a string\"",
@@ -113,8 +125,11 @@ TEST(DaemonTest, CrashIsolationMalformedInputsThenSuccess) {
       R"({"verb":"diagnose","id":"x","ait":"trace { garbage"})",
       R"({"verb":"diagnose","id":"x","scenario":"fig-1","ait":"both set"})",
       R"({"id":"x"})",
+      // Valid .ait whose setup phase faults, or never exits.
+      HostileAitRequest("setup_fault.ait"),
+      HostileAitRequest("setup_spin.ait"),
   };
-  for (const char* line : hostile) {
+  for (const std::string& line : hostile) {
     const JsonValue doc = Parse(daemon.HandleLine(line));
     const std::string status = Field(doc, "status");
     EXPECT_TRUE(status == "invalid_argument" || status == "not_found")

@@ -26,6 +26,9 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/prometheus.h"
+#include "src/svc/daemon.h"
+#include "src/svc/jsonv.h"
+#include "src/util/strings.h"
 #include "tests/json_checker.h"
 
 namespace aitia {
@@ -265,7 +268,7 @@ std::string BodyOf(const std::string& response) {
 
 TEST(PrometheusTest, SanitizeName) {
   EXPECT_EQ(obs::PromSanitizeName("svc.requests"), "svc_requests");
-  EXPECT_EQ(obs::PromSanitizeName("ckpt.entry_hits_max"), "ckpt_entry_hits_max");
+  EXPECT_EQ(obs::PromSanitizeName("supervisor.run_steps"), "supervisor_run_steps");
   EXPECT_EQ(obs::PromSanitizeName("1bad"), "_1bad");
   EXPECT_EQ(obs::PromSanitizeName("has space+plus"), "has_space_plus");
   EXPECT_EQ(obs::PromSanitizeName(""), "_");
@@ -423,6 +426,72 @@ TEST(HttpServerTest, ServesMetricsHealthStatusAndErrors) {
 
   server.Stop();
   server.Stop();  // idempotent
+}
+
+// svc.request_us resolves a typical request: a diagnosis answered within
+// half a millisecond lands in a bucket below 1 ms on the live /metrics plane,
+// served the way aitiad serves it.
+TEST(HttpServerTest, SubMillisecondRequestLandsBelowOneMillisecondBucket) {
+  // One thread, no race: LIFS exhausts its tiny frontier in microseconds.
+  const std::string ait =
+      "ait 1\n"
+      "scenario tiny\n"
+      "global flag 0\n"
+      "program set_flag\n"
+      "  lea r1, flag\n"
+      "  store_imm r1, 1\n"
+      "  exit\n"
+      "end\n"
+      "slice t set_flag\n";
+  const std::string request = R"({"verb":"diagnose","id":"tiny","no_cache":true,"ait":")" +
+                              JsonEscape(ait) + "\"}";
+  svc::Daemon daemon(svc::DaemonOptions{});
+  // An optimized or ASan build answers this request in well under 0.5 ms;
+  // retries absorb a loaded host. (A ThreadSanitizer build slows every
+  // request past 0.5 ms and cannot show the property.)
+  int64_t fast = 0;  // requests answered in <= 500 us
+  for (int i = 0; i < 200 && fast < 3; ++i) {
+    auto parsed = svc::ParseJson(daemon.HandleLine(request));
+    ASSERT_TRUE(parsed.ok());
+    const svc::JsonValue doc = std::move(parsed).value();
+    ASSERT_NE(doc.Find("elapsed_ms"), nullptr);
+    if (doc.Find("elapsed_ms")->AsDouble() <= 0.5) {
+      ++fast;
+    }
+  }
+  ASSERT_GT(fast, 0) << "no request finished within 0.5 ms";
+
+  svc::HttpServerOptions options;
+  options.port = 0;
+  options.metrics = [] {
+    return obs::ToPrometheusText(obs::MetricsRegistry::Global().Snapshot());
+  };
+  svc::HttpServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<PromSample> samples;
+  std::map<std::string, std::string> types;
+  std::string why;
+  ASSERT_TRUE(ValidateExposition(BodyOf(Get(server.port(), "/metrics")), &samples, &types, &why))
+      << why;
+  server.Stop();
+
+  EXPECT_EQ(types["aitia_svc_request_us"], "histogram");
+  double below_half_ms = -1;
+  double below_one_ms = -1;
+  for (const PromSample& sample : samples) {
+    if (sample.name != "aitia_svc_request_us_bucket") {
+      continue;
+    }
+    if (sample.labels.at("le") == "500") {
+      below_half_ms = sample.value;
+    } else if (sample.labels.at("le") == "1000") {
+      below_one_ms = sample.value;
+    }
+  }
+  // Buckets are cumulative: every fast request counts at le="500", a bucket
+  // strictly below the 1 ms one.
+  EXPECT_GE(below_half_ms, static_cast<double>(fast));
+  EXPECT_GE(below_one_ms, below_half_ms);
 }
 
 TEST(HttpServerTest, StartFailsOnTakenPort) {
