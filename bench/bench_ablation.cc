@@ -1,17 +1,14 @@
-// Ablations over AITIA's design choices (DESIGN.md):
+// Ablation over AITIA's design choices (DESIGN.md):
 //
 //  1. DPOR-style conflict pruning in LIFS — schedules executed with the
 //     restriction on vs off (the paper adopts DPOR "to prune unnecessary
 //     search steps", §3.3).
-//  2. Diagnoser parallelism — Causality Analysis wall time with 1 vs 8
-//     workers (the paper's 32-VM diagnosing stage, §4.5).
 
 #include <cstdio>
 #include <string>
 
 #include "src/bugs/registry.h"
 #include "src/core/aitia.h"
-#include "src/util/stopwatch.h"
 
 int main() {
   using namespace aitia;
@@ -47,37 +44,5 @@ int main() {
   std::printf("total: %lld vs %lld schedules (%.1f%% saved by pruning)\n\n", total_on,
               total_off,
               100.0 * (1.0 - static_cast<double>(total_on) / static_cast<double>(total_off)));
-
-  std::printf("=== Ablation 2: diagnoser parallelism (CA wall time) ===\n\n");
-  std::printf("%-16s | %12s %12s | %s\n", "Bug", "1 worker", "8 workers", "speedup");
-  std::printf("%s\n", std::string(60, '-').c_str());
-  for (const char* id : {"CVE-2017-15649", "syz-02", "syz-08"}) {
-    BugScenario s = MakeScenario(id);
-    LifsOptions lo;
-    lo.target_type = s.truth.failure_type;
-    Lifs lifs(s.image.get(), s.slice, s.setup, lo);
-    LifsResult lr = lifs.Run();
-    if (!lr.reproduced) {
-      continue;
-    }
-    double times[2] = {};
-    size_t workers[2] = {1, 8};
-    for (int w = 0; w < 2; ++w) {
-      CausalityOptions co;
-      co.workers = workers[w];
-      Stopwatch watch;
-      // Repeat to get a measurable duration on these tiny workloads.
-      for (int rep = 0; rep < 50; ++rep) {
-        CausalityAnalysis ca(s.image.get(), s.slice, s.setup, &lr, co);
-        CausalityResult cr = ca.Run();
-        (void)cr;
-      }
-      times[w] = watch.ElapsedMillis() / 50;
-    }
-    std::printf("%-16s | %9.3f ms %9.3f ms | %.2fx\n", id, times[0], times[1],
-                times[1] > 0 ? times[0] / times[1] : 0.0);
-  }
-  std::printf("\n(Flip tests are independent deterministic runs, so diagnosis\n"
-              " parallelizes across workers exactly like the paper's VM fleet.)\n");
   return 0;
 }

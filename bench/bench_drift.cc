@@ -1,4 +1,4 @@
-// bench_drift — cross-revision drift tracker for the parallel-LIFS sweep.
+// bench_drift — cross-revision drift tracker for the LIFS + CA sweep.
 //
 // Folds a set of archived BENCH_parallel_lifs.json artifacts (one per
 // revision, produced by `bench_parallel_lifs --json`) into a per-revision
@@ -13,10 +13,12 @@
 //     slower than its baseline (the first revision that recorded the cell)
 //     for --sustain consecutive revisions (default 2). One slow revision is
 //     treated as machine noise; two in a row is drift. Only archives from
-//     before the checkpoint engine's removal carry a "replay" field; a cell
-//     without one keys as replay-off, so that history lines up.
-//   * identical_to_serial false anywhere — the parallel sweep diverged from
-//     the serial oracle at archive time. Always an error.
+//     before the checkpoint engine's removal carry a "replay" field, and
+//     only archives from before the parallel search's removal carry a
+//     "workers" field; a cell without them keys as replay-off and one
+//     worker, so that history lines up.
+//   * identical_to_serial false anywhere — a sweep cell diverged from its
+//     reference cell at archive time. Always an error.
 //
 // Artifacts are folded in lexicographic *filename* order, so archives named
 // 0001-<rev>.json, 0002-<rev>.json, ... replay history correctly; scenarios
@@ -113,9 +115,8 @@ bool LoadArtifact(const std::string& path, Artifact* out) {
     Scenario& sc = out->scenarios[id->AsString()];
     sc.schedules = schedules->AsInt();
     for (const JsonValue& c : sweep->items()) {
-      const JsonValue* workers = c.Find("workers");
       const JsonValue* seconds = c.Find("seconds");
-      if (workers == nullptr || seconds == nullptr) {
+      if (seconds == nullptr) {
         continue;  // tolerate older artifacts with fewer fields
       }
       Cell cell;
@@ -123,9 +124,11 @@ bool LoadArtifact(const std::string& path, Artifact* out) {
       if (const JsonValue* ident = c.Find("identical_to_serial"); ident != nullptr) {
         cell.identical = ident->AsBool(true);
       }
+      const JsonValue* workers = c.Find("workers");
       const JsonValue* replay = c.Find("replay");
       const JsonValue* prefilter = c.Find("prefilter");
-      sc.cells[CellKey(workers->AsInt(), replay != nullptr && replay->AsBool(),
+      sc.cells[CellKey(workers != nullptr ? workers->AsInt() : 1,
+                       replay != nullptr && replay->AsBool(),
                        prefilter != nullptr && prefilter->AsBool())] = cell;
     }
   }
@@ -259,7 +262,7 @@ int main(int argc, char** argv) {
         std::snprintf(buf, sizeof buf, "  [%s %.3fs]", key.c_str(), cell.seconds);
         cells_text += buf;
         if (!cell.identical) {
-          std::printf("  DRIFT: %s %s: parallel run diverged from serial oracle\n",
+          std::printf("  DRIFT: %s %s: cell diverged from its reference cell\n",
                       a.file.c_str(), key.c_str());
           ++drift_flags;
         }

@@ -89,14 +89,12 @@ void BM_CausalityAnalysis(benchmark::State& state) {
   Lifs lifs(s.image.get(), s.slice, s.setup, lo);
   LifsResult lr = lifs.Run();
   for (auto _ : state) {
-    CausalityOptions co;
-    co.workers = static_cast<size_t>(state.range(0));
-    CausalityAnalysis ca(s.image.get(), s.slice, s.setup, &lr, co);
+    CausalityAnalysis ca(s.image.get(), s.slice, s.setup, &lr, CausalityOptions{});
     CausalityResult cr = ca.Run();
     benchmark::DoNotOptimize(cr.tested.data());
   }
 }
-BENCHMARK(BM_CausalityAnalysis)->Arg(1)->Arg(4);
+BENCHMARK(BM_CausalityAnalysis);
 
 void BM_RaceExtraction(benchmark::State& state) {
   BugScenario s = MakeScenario("syz-08");

@@ -1,27 +1,28 @@
-// Parallel LIFS frontier exploration — worker-count × triage-pre-filter
-// sweep (DESIGN.md §9, §13).
+// LIFS + Causality Analysis timing sweep over the triage pre-filter
+// (DESIGN.md §9, §13). The name predates the removal of the parallel search;
+// it is kept so archived BENCH_parallel_lifs.json artifacts still fold in
+// bench_drift.
 //
-// Runs LIFS on the multi-interleaving corpus scenarios at several worker
-// counts, follows each with a Causality Analysis pass with the static triage
-// pre-filter off and on, verifies that every cell is identical to the serial
-// prefilter-off one (the §9/§13 determinism contract), and writes the sweep
-// to BENCH_parallel_lifs.json:
+// Runs LIFS on the multi-interleaving corpus scenarios, follows each with a
+// Causality Analysis pass with the static triage pre-filter off and on,
+// verifies that both cells agree (the §13 purity contract), and writes the
+// sweep to BENCH_parallel_lifs.json:
 //
 //   $ bench_parallel_lifs                              # defaults below
-//   $ bench_parallel_lifs --workers=1,2,4 --repeat=9 \
-//         --scenarios=CVE-2017-15649,syz-02 --out=sweep.json
+//   $ bench_parallel_lifs --repeat=9 --scenarios=CVE-2017-15649,syz-02 --out=sweep.json
 //   $ bench_parallel_lifs --baseline=old_sweep.json    # regression check
 //
-// Per (scenario, workers, prefilter) cell the minimum wall time over --repeat
-// runs is reported (minimum, not mean: scheduling noise only ever adds time).
-// Speedups are relative to the measured workers=1 cell of the same binary;
-// hardware_concurrency is recorded so single-CPU CI hosts are readable as
-// such.
+// Per (scenario, prefilter) cell the minimum wall time over --repeat runs is
+// reported (minimum, not mean: scheduling noise only ever adds time).
+// hardware_concurrency is recorded so runs from different hosts stay
+// readable as such.
 //
 // --baseline=FILE compares this sweep against an archived one: schedule
 // counts must match bit-exactly (hard failure — the search semantics
 // changed), and any matched cell more than 20% slower is flagged on stderr
-// (soft: CI hosts are noisy, so drift warns rather than fails).
+// (soft: CI hosts are noisy, so drift warns rather than fails). Archived
+// cells from other worker counts are ignored; a cell without a "workers"
+// field is a one-thread cell.
 
 #include <cstdio>
 #include <cstdlib>
@@ -59,8 +60,7 @@ std::vector<std::string> SplitCsv(const std::string& text) {
   return out;
 }
 
-// The fields the serial/parallel contract pins down, flattened for
-// equality. budget.steps stays out: parallel batches legitimately overshoot.
+// The LIFS fields every cell must agree on, flattened for equality.
 std::string ResultKey(const LifsResult& r) {
   return StrFormat("reproduced=%d k=%d executed=%lld pruned=%lld schedule=%s", r.reproduced ? 1 : 0,
                    r.interleaving_count, static_cast<long long>(r.schedules_executed),
@@ -84,7 +84,6 @@ std::string CaKey(const CausalityResult& r) {
 }
 
 struct Cell {
-  size_t workers = 0;
   bool prefilter = false;
   double seconds = 0;
   // Causality Analysis pass over the same failing run: wall time and the
@@ -98,13 +97,11 @@ struct Cell {
   double discovery_seconds = 0;
   double depth_seconds = 0;
   int64_t schedules = 0;
-  int64_t speculative = 0;
   bool identical = false;
 };
 
 // One archived cell from a --baseline file.
 struct BaselineCell {
-  size_t workers = 0;
   bool prefilter = false;
   double seconds = 0;
 };
@@ -148,10 +145,10 @@ bool LoadBaseline(const std::string& path,
     if (const svc::JsonValue* sweep = s.Find("sweep");
         sweep != nullptr && sweep->kind() == svc::JsonValue::Kind::kArray) {
       for (const svc::JsonValue& c : sweep->items()) {
-        BaselineCell cell;
-        if (const svc::JsonValue* w = c.Find("workers"); w != nullptr) {
-          cell.workers = static_cast<size_t>(w->AsInt());
+        if (const svc::JsonValue* w = c.Find("workers"); w != nullptr && w->AsInt() != 1) {
+          continue;  // a parallel-search cell from an older archive
         }
+        BaselineCell cell;
         // Pre-prefilter baselines have no "prefilter" field; treat them as
         // the prefilter-off cells they were.
         if (const svc::JsonValue* pf = c.Find("prefilter"); pf != nullptr) {
@@ -175,7 +172,6 @@ bool LoadBaseline(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<size_t> workers = {1, 2, 4, 8};
   std::vector<std::string> scenario_ids;
   int repeat = 5;
   std::string out_path = "BENCH_parallel_lifs.json";
@@ -183,12 +179,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--workers=", 0) == 0) {
-      workers.clear();
-      for (const std::string& w : SplitCsv(arg.substr(10))) {
-        workers.push_back(static_cast<size_t>(std::strtoull(w.c_str(), nullptr, 10)));
-      }
-    } else if (arg.rfind("--scenarios=", 0) == 0) {
+    if (arg.rfind("--scenarios=", 0) == 0) {
       scenario_ids = SplitCsv(arg.substr(12));
     } else if (arg.rfind("--repeat=", 0) == 0) {
       repeat = std::atoi(arg.c_str() + 9);
@@ -198,9 +189,8 @@ int main(int argc, char** argv) {
       baseline_path = arg.substr(11);
     } else {
       std::fprintf(stderr,
-                   "usage: bench_parallel_lifs [--workers=1,2,4,8] [--scenarios=id,...]\n"
-                   "                           [--repeat=N] [--out=FILE.json]\n"
-                   "                           [--baseline=OLD.json]\n");
+                   "usage: bench_parallel_lifs [--scenarios=id,...] [--repeat=N]\n"
+                   "                           [--out=FILE.json] [--baseline=OLD.json]\n");
       return 2;
     }
   }
@@ -209,7 +199,7 @@ int main(int argc, char** argv) {
   }
   if (scenario_ids.empty()) {
     // Default to the bugs that need k >= 2: their frontiers are the widest,
-    // so they are where parallel exploration can help.
+    // so they dominate the search cost.
     for (const ScenarioEntry& e : AllScenarios()) {
       if (e.make().truth.expected_interleavings >= 2) {
         scenario_ids.push_back(e.id);
@@ -226,7 +216,7 @@ int main(int argc, char** argv) {
   }
 
   const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("=== Parallel LIFS sweep (hardware_concurrency=%u) ===\n\n", hw);
+  std::printf("=== LIFS + CA sweep (hardware_concurrency=%u) ===\n\n", hw);
 
   std::string json = StrFormat("{\n  \"git_revision\": \"%s\",\n"
                                "  \"hardware_concurrency\": %u,\n  \"repeat\": %d,\n"
@@ -246,65 +236,54 @@ int main(int argc, char** argv) {
     BugScenario s = entry->make();
 
     std::vector<Cell> cells;
-    std::string serial_key;
-    double serial_seconds = 0;
-    for (size_t w : workers) {
-      for (const bool prefilter : {false, true}) {
-        Cell cell;
-        cell.workers = w;
-        cell.prefilter = prefilter;
-        cell.seconds = -1;
-        cell.ca_seconds = -1;
-        for (int rep = 0; rep < repeat; ++rep) {
-          LifsOptions options;
-          options.target_type = s.truth.failure_type;
-          options.workers = w;
-          Lifs lifs(s.image.get(), s.slice, s.setup, options);
-          Stopwatch watch;
-          LifsResult r = lifs.Run();
-          const double elapsed = watch.ElapsedSeconds();
-          if (cell.seconds < 0 || elapsed < cell.seconds) {
-            cell.seconds = elapsed;
-            cell.discovery_seconds = r.discovery_seconds;
-            cell.depth_seconds = r.depth_seconds;
-          }
-          cell.schedules = r.schedules_executed;
-          cell.speculative = r.speculative_runs;
-
-          CausalityOptions co;
-          co.workers = w;
-          if (!prefilter) {
-            co.stages.clear();
-          }
-          CausalityAnalysis ca(s.image.get(), s.slice, s.setup, &r, co);
-          Stopwatch ca_watch;
-          CausalityResult cr = ca.Run();
-          const double ca_elapsed = ca_watch.ElapsedSeconds();
-          if (cell.ca_seconds < 0 || ca_elapsed < cell.ca_seconds) {
-            cell.ca_seconds = ca_elapsed;
-          }
-          cell.flips_executed = cr.schedules_executed;
-          cell.flips_skipped = cr.flips_skipped;
-
-          const std::string key = ResultKey(r) + " " + CaKey(cr);
-          if (w == workers.front() && !prefilter && rep == 0) {
-            serial_key = key;
-          }
-          cell.identical = key == serial_key;
-          all_identical = all_identical && cell.identical;
+    std::string reference_key;  // the first prefilter-off rep
+    for (const bool prefilter : {false, true}) {
+      Cell cell;
+      cell.prefilter = prefilter;
+      cell.seconds = -1;
+      cell.ca_seconds = -1;
+      for (int rep = 0; rep < repeat; ++rep) {
+        LifsOptions options;
+        options.target_type = s.truth.failure_type;
+        Lifs lifs(s.image.get(), s.slice, s.setup, options);
+        Stopwatch watch;
+        LifsResult r = lifs.Run();
+        const double elapsed = watch.ElapsedSeconds();
+        if (cell.seconds < 0 || elapsed < cell.seconds) {
+          cell.seconds = elapsed;
+          cell.discovery_seconds = r.discovery_seconds;
+          cell.depth_seconds = r.depth_seconds;
         }
-        if (w == workers.front() && !prefilter) {
-          serial_seconds = cell.seconds;
+        cell.schedules = r.schedules_executed;
+
+        CausalityOptions co;
+        if (!prefilter) {
+          co.stages.clear();
         }
-        cells.push_back(cell);
+        CausalityAnalysis ca(s.image.get(), s.slice, s.setup, &r, co);
+        Stopwatch ca_watch;
+        CausalityResult cr = ca.Run();
+        const double ca_elapsed = ca_watch.ElapsedSeconds();
+        if (cell.ca_seconds < 0 || ca_elapsed < cell.ca_seconds) {
+          cell.ca_seconds = ca_elapsed;
+        }
+        cell.flips_executed = cr.schedules_executed;
+        cell.flips_skipped = cr.flips_skipped;
+
+        const std::string key = ResultKey(r) + " " + CaKey(cr);
+        if (!prefilter && rep == 0) {
+          reference_key = key;
+        }
+        cell.identical = key == reference_key;
+        all_identical = all_identical && cell.identical;
       }
+      cells.push_back(cell);
     }
 
     std::printf("%-18s\n", id.c_str());
     for (const Cell& c : cells) {
-      std::printf("  w=%zu prefilter=%-3s %8.3fms (x%.2f)  flips=%lld skipped=%lld%s\n",
-                  c.workers, c.prefilter ? "on" : "off", c.seconds * 1e3,
-                  c.seconds > 0 ? serial_seconds / c.seconds : 0.0,
+      std::printf("  prefilter=%-3s %8.3fms  flips=%lld skipped=%lld%s\n",
+                  c.prefilter ? "on" : "off", c.seconds * 1e3,
                   static_cast<long long>(c.flips_executed),
                   static_cast<long long>(c.flips_skipped), c.identical ? "" : "  DIFF!");
     }
@@ -325,12 +304,11 @@ int main(int argc, char** argv) {
       }
       for (const BaselineCell& bc : bs.cells) {
         for (const Cell& c : cells) {
-          if (c.workers == bc.workers && c.prefilter == bc.prefilter && bc.seconds > 0 &&
-              c.seconds > bc.seconds * 1.2) {
+          if (c.prefilter == bc.prefilter && bc.seconds > 0 && c.seconds > bc.seconds * 1.2) {
             std::fprintf(stderr,
-                         "bench_parallel_lifs: DRIFT %s w=%zu prefilter=%s %.3fms -> %.3fms "
+                         "bench_parallel_lifs: DRIFT %s prefilter=%s %.3fms -> %.3fms "
                          "(+%.0f%%)\n",
-                         id.c_str(), c.workers, c.prefilter ? "on" : "off", bc.seconds * 1e3,
+                         id.c_str(), c.prefilter ? "on" : "off", bc.seconds * 1e3,
                          c.seconds * 1e3, (c.seconds / bc.seconds - 1.0) * 100.0);
             ++drift_flags;
           }
@@ -342,18 +320,16 @@ int main(int argc, char** argv) {
                       static_cast<long long>(cells.front().schedules));
     for (size_t ci = 0; ci < cells.size(); ++ci) {
       const Cell& c = cells[ci];
-      json += StrFormat("%s{\"workers\": %zu, \"prefilter\": %s, "
+      // "identical_to_serial" keeps its historical name for bench_drift: the
+      // cell agrees with the prefilter-off reference.
+      json += StrFormat("%s{\"prefilter\": %s, "
                         "\"seconds\": %.6f, "
-                        "\"speedup\": %.3f, "
                         "\"phases\": {\"discovery_seconds\": %.6f, \"depth_seconds\": %.6f}, "
-                        "\"speculative_runs\": %lld, "
                         "\"ca_seconds\": %.6f, "
                         "\"flips\": {\"executed\": %lld, \"skipped\": %lld}, "
                         "\"identical_to_serial\": %s}",
-                        ci == 0 ? "" : ", ", c.workers, c.prefilter ? "true" : "false",
-                        c.seconds, c.seconds > 0 ? serial_seconds / c.seconds : 0.0,
-                        c.discovery_seconds, c.depth_seconds,
-                        static_cast<long long>(c.speculative), c.ca_seconds,
+                        ci == 0 ? "" : ", ", c.prefilter ? "true" : "false", c.seconds,
+                        c.discovery_seconds, c.depth_seconds, c.ca_seconds,
                         static_cast<long long>(c.flips_executed),
                         static_cast<long long>(c.flips_skipped),
                         c.identical ? "true" : "false");
@@ -375,7 +351,7 @@ int main(int argc, char** argv) {
                  drift_flags);
   }
   if (!all_identical) {
-    std::fprintf(stderr, "bench_parallel_lifs: RESULT DIVERGED FROM SERIAL RUN\n");
+    std::fprintf(stderr, "bench_parallel_lifs: RESULT DIVERGED FROM PREFILTER-OFF RUN\n");
     return 1;
   }
   if (!baseline_schedules_match) {

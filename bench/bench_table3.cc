@@ -58,7 +58,6 @@ int main() {
     BugScenario s = entry.make();
     AitiaOptions options;
     options.lifs.target_type = s.truth.failure_type;
-    options.causality.workers = 4;
     AitiaReport report = DiagnoseSlice(*s.image, s.slice, s.setup, options);
     const PaperRow& paper = kPaper.at(s.id);
     if (!report.diagnosed) {

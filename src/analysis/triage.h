@@ -12,7 +12,7 @@
 // The contract is strict conservatism: a stage may return kProvablyBenign
 // ONLY when it predicts the dynamic flip's verdict exactly — same verdict,
 // same flip_took_effect/flip_still_failed bits, same disappearance set. A
-// corpus-wide differential test (pre-filter on/off × workers) holds the
+// corpus-wide differential test (pre-filter on/off) holds the
 // pipeline to bit-identical chains, verdicts, and root-cause sets; anything
 // a stage cannot *prove* must come back kUnknown and pay for the flip.
 //

@@ -6,17 +6,8 @@
 #include "src/obs/trace.h"
 #include "src/util/log.h"
 #include "src/util/strings.h"
-#include "src/util/thread_pool.h"
 
 namespace aitia {
-
-AitiaOptions& AitiaOptions::set_jobs(size_t jobs) {
-  const size_t resolved = ThreadPool::ResolveWorkers(jobs);
-  lifs.workers = resolved;
-  causality.workers = resolved;
-  reproducer_workers = resolved;
-  return *this;
-}
 
 AitiaOptions& AitiaOptions::set_deadline(double seconds) {
   if (seconds > 0) {
@@ -170,31 +161,6 @@ AitiaReport DiagnoseHistoryImpl(const KernelImage& image, const ExecutionHistory
     slice_options.lifs.target = history.failure->failure;
   }
 
-  if (options.reproducer_workers > 1 && slices.size() > 1) {
-    // Parallel reproducing stage: one LIFS instance per slice, keep the
-    // highest-priority slice that reproduced.
-    std::vector<LifsResult> results(slices.size());
-    ThreadPool pool(options.reproducer_workers);
-    ParallelFor(pool, slices.size(), [&](size_t i) {
-      Lifs lifs(&image, slices[i].threads, slices[i].setup, slice_options.lifs);
-      results[i] = lifs.Run();
-    });
-    for (size_t i = 0; i < slices.size(); ++i) {
-      ++report.slices_tried;
-      if (results[i].reproduced) {
-        report.used_slice = slices[i];
-        report.lifs = std::move(results[i]);
-        CausalityAnalysis ca(&image, slices[i].threads, slices[i].setup, &report.lifs,
-                             slice_options.causality);
-        report.causality = ca.Run();
-        report.diagnosed = true;
-        FinalizeReport(report);
-        return report;
-      }
-    }
-    return report;
-  }
-
   for (const Slice& slice : slices) {
     ++report.slices_tried;
     Lifs lifs(&image, slice.threads, slice.setup, slice_options.lifs);
@@ -224,10 +190,9 @@ AitiaReport DiagnoseHistoryImpl(const KernelImage& image, const ExecutionHistory
 
 AitiaReport DiagnoseSlice(const KernelImage& image, const std::vector<ThreadSpec>& slice,
                           const std::vector<ThreadSpec>& setup, const AitiaOptions& options) {
-  // Per-diagnosis metrics as a delta of the process-wide registry: cheap,
-  // and correct even when many diagnoses share one process. Observability
-  // stays read-side — nothing below consults the registry or the tracer to
-  // make a decision.
+  // Per-diagnosis metrics as a delta of the process-wide registry (see
+  // AitiaReport::metrics). Observability stays read-side — nothing below
+  // consults the registry or the tracer to make a decision.
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   AitiaReport report;
   {

@@ -30,18 +30,9 @@ struct AitiaOptions {
   LifsOptions lifs;
   CausalityOptions causality;
   SlicerOptions slicer;
-  // > 1 launches reproducers for all candidate slices in parallel (the
-  // paper's multi-VM reproducing stage); 1 tries slices sequentially,
+  // Cap on candidate slices attempted. Slices are tried one after another,
   // backward from the failure, stopping at the first reproduction.
-  size_t reproducer_workers = 1;
-  // Cap on candidate slices attempted.
   size_t max_slices = 16;
-
-  // Applies one worker count to every parallel stage of the pipeline: LIFS
-  // frontier exploration, causality flip tests, and the slice reproducers.
-  // 0 resolves to the hardware concurrency (the CLI's --jobs flag lands
-  // here). Per-stage fields can still be set individually afterwards.
-  AitiaOptions& set_jobs(size_t jobs);
 
   // Applies one wall-clock budget (seconds) across the pipeline: the LIFS
   // search deadline plus the per-run supervisor deadlines of both stages.
@@ -87,9 +78,11 @@ struct AitiaReport {
   Slice used_slice;
   LifsResult lifs;
   CausalityResult causality;
-  // Metrics delta covering exactly this diagnosis: the facade snapshots the
-  // process-wide registry before the pipeline and subtracts it after, so
-  // reports stay accurate when many diagnoses share one process.
+  // Delta of the process-wide metrics registry: the facade snapshots it
+  // before the pipeline and subtracts it after. While other diagnoses run in
+  // the same process their counts land in this delta too, so it is exact
+  // only for a diagnosis that ran alone (a per-diagnosis ledger is on the
+  // ROADMAP).
   obs::MetricsSnapshot metrics;
 
   // Full human-readable diagnosis (races, verdicts, chain).

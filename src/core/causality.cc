@@ -9,7 +9,6 @@
 #include "src/obs/trace.h"
 #include "src/util/log.h"
 #include "src/util/stopwatch.h"
-#include "src/util/thread_pool.h"
 
 namespace aitia {
 namespace {
@@ -342,21 +341,20 @@ CausalityResult CausalityAnalysis::Run() {
     return triage[i].verdict == analysis::TriageVerdict::kProvablyBenign;
   };
 
-  // Flip tests are independent deterministic runs; execute them on the
-  // diagnoser pool under supervision. The nonce is the test index, so fault
-  // and retry streams are stable regardless of worker interleaving.
+  // Flip tests run in index order under supervision. The nonce is the test
+  // index, which keys the fault and retry streams.
   SupervisorOptions so = options_.supervisor;
   so.max_steps = options_.max_steps_per_run;
   Supervisor supervisor(image_, so);
   std::vector<RunResult> flip_runs(items.size());
   std::vector<Status> flip_status(items.size());
-  auto test_one = [&](size_t i) {
+  for (size_t i = 0; i < items.size(); ++i) {
     if (skipped_by_triage(i)) {
       obs::Span("causality", "ca.flip.skipped", 'i')
           .Arg("index", i)
           .Arg("label", RaceLabel(*image_, items[i].race))
           .Arg("stage", triage[i].stage);
-      return;
+      continue;
     }
     obs::Span span("causality", "ca.flip");
     span.Arg("index", i)
@@ -373,22 +371,11 @@ CausalityResult CausalityAnalysis::Run() {
       flip_status[i] = er.status();
     }
     span.Arg("ok", flip_status[i].ok());
-    // Published from pool workers; the bus serializes delivery. Frame order
-    // across workers is nondeterministic, but events are write-only — the
-    // verdicts themselves are settled later in index order.
     obs::PublishDiagEvent(options_.event_scope, obs::DiagPhase::kFlipTested, "ca.flip",
                           RaceLabel(*image_, items[i].race),
                           {{"index", static_cast<int64_t>(i)},
                            {"total", static_cast<int64_t>(items.size())},
                            {"ok", flip_status[i].ok() ? 1 : 0}});
-  };
-  if (options_.workers > 1 && items.size() > 1) {
-    ThreadPool pool(options_.workers);
-    ParallelFor(pool, items.size(), test_one);
-  } else {
-    for (size_t i = 0; i < items.size(); ++i) {
-      test_one(i);
-    }
   }
   result.schedules_executed = static_cast<int64_t>(items.size() - skipped_total);
   result.flips_skipped = static_cast<int64_t>(skipped_total);

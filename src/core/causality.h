@@ -14,9 +14,8 @@
 //
 // Critical sections protected by a common lock flip as a unit (liveness);
 // a flip that necessarily reverses a nested race is marked ambiguous when
-// both turn out to be root causes (Figure 7). Flip tests are independent
-// deterministic runs, so they parallelize across diagnoser workers — the
-// analog of the paper's fleet of diagnosis VMs (§4.5).
+// both turn out to be root causes (Figure 7). Flip tests run one after
+// another in index order on the calling thread.
 
 #ifndef SRC_CORE_CAUSALITY_H_
 #define SRC_CORE_CAUSALITY_H_
@@ -37,8 +36,6 @@ namespace aitia {
 struct CausalityOptions {
   int64_t max_steps_per_run = 200000;
   size_t max_tests = 256;
-  // Number of parallel diagnoser workers; 0 or 1 runs serially.
-  size_t workers = 1;
   // Supervised execution of flip tests: deadline, watchdog, retries, fault
   // plan. `supervisor.max_steps` is overridden by max_steps_per_run. A flip
   // test that fails every attempt is reported kInconclusive — never benign.

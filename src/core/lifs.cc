@@ -13,21 +13,19 @@
 #include "src/util/log.h"
 #include "src/util/stopwatch.h"
 #include "src/util/strings.h"
-#include "src/util/thread_pool.h"
 
 namespace aitia {
 namespace {
 
 // Registry lookups cached once per process; the increments themselves are
 // per-thread sharded relaxed atomics (src/obs/metrics.h), so publishing
-// search totals here never contends with frontier workers.
+// search totals here never contends with concurrent diagnoses.
 struct LifsMetrics {
   obs::Counter* searches;
   obs::Counter* reproduced;
   obs::Counter* schedules_executed;
   obs::Counter* schedules_pruned;
   obs::Counter* aborted_runs;
-  obs::Counter* speculative_runs;
   obs::Counter* discovery_us;
   obs::Counter* depth_us;
   obs::Histogram* preemption_points;
@@ -41,7 +39,6 @@ struct LifsMetrics {
       lm->schedules_executed = reg.GetCounter("lifs.schedules_executed");
       lm->schedules_pruned = reg.GetCounter("lifs.schedules_pruned");
       lm->aborted_runs = reg.GetCounter("lifs.aborted_runs");
-      lm->speculative_runs = reg.GetCounter("lifs.speculative_runs");
       lm->discovery_us = reg.GetCounter("lifs.discovery_us");
       lm->depth_us = reg.GetCounter("lifs.depth_us");
       lm->preemption_points = reg.GetHistogram("lifs.preemption_points", {0, 1, 2, 3, 4, 8});
@@ -57,8 +54,7 @@ SupervisorOptions LifsSupervisorOptions(const LifsOptions& options) {
   return so;
 }
 
-// Access-pattern fingerprint of one run; pure function of the trace, so
-// parallel workers can compute it off the merge path.
+// Access-pattern fingerprint of one run.
 std::string TraceFingerprint(const RunResult& run) {
   std::string fp;
   for (const ExecEvent& e : run.trace) {
@@ -71,17 +67,12 @@ std::string TraceFingerprint(const RunResult& run) {
   return fp;
 }
 
-// Schedules dispatched per barrier and worker. Larger batches amortize the
-// merge barrier; smaller ones waste less speculative work once the winner is
-// inside the batch. The merged result is identical either way.
-constexpr size_t kBatchPerWorker = 4;
-
 }  // namespace
 
-// Enumerates one depth-k pass of the search space in the exact order the
-// serial loop walks it: k-point tuples front-to-back (candidate-major,
-// lexicographic over the encoded candidate×variant space, adjacent-pair
-// constraints applied), each tuple crossed with every base order.
+// Enumerates one depth-k pass of the search space in canonical order:
+// k-point tuples front-to-back (candidate-major, lexicographic over the
+// encoded candidate×variant space, adjacent-pair constraints applied), each
+// tuple crossed with every base order.
 class Lifs::PassFrontier {
  public:
   PassFrontier(std::vector<KnownAccess> candidates, size_t stride, size_t k,
@@ -217,8 +208,8 @@ bool Lifs::SearchCutShort() {
     return true;
   }
   // The supervisor-level cancel probe also cuts the search itself short, so
-  // a draining service unwinds in one frontier batch instead of enumerating
-  // the rest of the schedule budget as no-op cancelled runs.
+  // a draining service unwinds within one run instead of enumerating the
+  // rest of the schedule budget as no-op cancelled runs.
   if (options_.supervisor.cancel && options_.supervisor.cancel()) {
     result_.status = Status::Cancelled("LIFS search cancelled");
     return true;
@@ -309,9 +300,6 @@ std::vector<Lifs::KnownAccess> Lifs::ConflictCandidates() const {
 }
 
 bool Lifs::Execute(const PreemptionSchedule& schedule, int interleavings) {
-  if (SearchCutShort()) {
-    return false;
-  }
   if (!tried_schedules_.insert(schedule.ToString()).second) {
     obs::Span("lifs", "lifs.prune", 'i').Arg("reason", "duplicate-schedule");
     return false;  // exact schedule already run
@@ -322,41 +310,28 @@ bool Lifs::Execute(const PreemptionSchedule& schedule, int interleavings) {
       slice_, schedule, setup_, static_cast<uint64_t>(result_.schedules_executed));
   ++result_.schedules_executed;
   if (!supervised.ok()) {
-    AbsorbLoss(supervised.status());
+    if (supervised.status().code() == StatusCode::kInvalidArgument) {
+      // The slice's setup phase faulted or never finished: the input itself
+      // is broken and every run would fail alike, so the search ends here.
+      result_.status = supervised.status();
+    } else {
+      // Lost after every retry (deadline, livelock, injected fault). Nothing
+      // usable was observed; skip the schedule and move on — LIFS
+      // completeness degrades gracefully instead of crashing or learning
+      // from a corrupt partial trace.
+      ++result_.aborted_runs;
+    }
     span.Arg("aborted", true);
     return false;
   }
-  const bool matched =
-      Absorb(*supervised, schedule, interleavings, TraceFingerprint(supervised->run));
-  span.Arg("failed", supervised->run.failure.has_value()).Arg("matched", matched);
-  return matched;
-}
-
-bool Lifs::AbsorbLoss(const Status& status) {
-  if (status.code() == StatusCode::kInvalidArgument) {
-    // The slice's setup phase faulted or never finished: the input itself is
-    // broken and every run would fail alike, so the search ends here.
-    result_.status = status;
-    return true;
-  }
-  // Lost after every retry (deadline, livelock, injected fault). Nothing
-  // usable was observed; skip the schedule and move on — LIFS completeness
-  // degrades gracefully instead of crashing or learning from a corrupt
-  // partial trace.
-  ++result_.aborted_runs;
-  return false;
-}
-
-bool Lifs::Absorb(EnforceResult& er, const PreemptionSchedule& schedule, int interleavings,
-                  std::string fingerprint) {
-  Learn(er.run);
-  const bool fresh = fingerprints_.insert(std::move(fingerprint)).second;
-  const bool matched = MatchesTarget(er.run.failure);
-  LifsMetrics::Get().preemption_points->Record(
-      static_cast<int64_t>(schedule.points.size()));
+  const RunResult& run = supervised->run;
+  Learn(run);
+  const bool fresh = fingerprints_.insert(TraceFingerprint(run)).second;
+  const bool matched = MatchesTarget(run.failure);
+  LifsMetrics::Get().preemption_points->Record(static_cast<int64_t>(schedule.points.size()));
   if (options_.keep_explored) {
     result_.explored.push_back(
-        {schedule, interleavings, er.run.failure.has_value(), matched, !fresh});
+        {schedule, interleavings, run.failure.has_value(), matched, !fresh});
   }
   if (matched) {
     obs::Span("lifs", "lifs.match", 'i')
@@ -367,98 +342,23 @@ bool Lifs::Absorb(EnforceResult& er, const PreemptionSchedule& schedule, int int
                           schedule.ToString(),
                           {{"interleavings", interleavings},
                            {"schedules_executed", result_.schedules_executed}});
-    FinalizeFailingRun(er.run, schedule, interleavings);
-    return true;
+    FinalizeFailingRun(run, schedule, interleavings);
   }
-  return false;
+  span.Arg("failed", run.failure.has_value()).Arg("matched", matched);
+  return matched;
 }
 
-bool Lifs::RunFrontier(const FrontierFn& next, int interleavings, ThreadPool* pool) {
-  if (pool == nullptr) {
-    // Serial walk: one schedule at a time, in frontier order.
-    while (!SearchCutShort()) {
-      std::optional<PreemptionSchedule> schedule = next();
-      if (!schedule.has_value()) {
-        return false;
-      }
-      if (Execute(*schedule, interleavings)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Parallel walk: pull a batch of not-yet-tried schedules (clamped to the
-  // remaining schedule budget, so the dispatched set is exactly the serial
-  // prefix), execute it across the pool, then merge results at the barrier
-  // in frontier order. Knowledge, fingerprints, counters, and the winner are
-  // therefore identical to the serial walk; only runs past the canonical
-  // stop point are discarded (counted as speculative_runs).
-  const size_t batch_target = pool->worker_count() * kBatchPerWorker;
-  std::vector<PreemptionSchedule> batch;
-  std::vector<std::string> keys;
-  for (;;) {
-    if (SearchCutShort()) {
+bool Lifs::RunFrontier(const FrontierFn& next, int interleavings) {
+  while (!SearchCutShort()) {
+    std::optional<PreemptionSchedule> schedule = next();
+    if (!schedule.has_value()) {
       return false;
     }
-    batch.clear();
-    keys.clear();
-    const int64_t room = options_.max_schedules - result_.schedules_executed;
-    while (batch.size() < batch_target && static_cast<int64_t>(batch.size()) < room) {
-      std::optional<PreemptionSchedule> schedule = next();
-      if (!schedule.has_value()) {
-        break;
-      }
-      std::string key = schedule->ToString();
-      if (!tried_schedules_.insert(key).second) {
-        obs::Span("lifs", "lifs.prune", 'i').Arg("reason", "duplicate-schedule");
-        continue;  // exact schedule already run
-      }
-      batch.push_back(std::move(*schedule));
-      keys.push_back(std::move(key));
-    }
-    if (batch.empty()) {
-      return false;  // frontier exhausted (budget expiry exits at the top)
-    }
-
-    struct BatchRun {
-      StatusOr<EnforceResult> supervised = Status::Unavailable("not run");
-      std::string fingerprint;
-    };
-    std::vector<BatchRun> runs(batch.size());
-    const uint64_t nonce_base = static_cast<uint64_t>(result_.schedules_executed);
-    ParallelFor(*pool, batch.size(), [&](size_t i) {
-      obs::Span span("lifs", "lifs.run");
-      span.Arg("k", interleavings)
-          .Arg("points", batch[i].points.size())
-          .Arg("batch_index", i);
-      runs[i].supervised =
-          supervisor_.RunPreemption(slice_, batch[i], setup_, nonce_base + i);
-      if (runs[i].supervised.ok()) {
-        runs[i].fingerprint = TraceFingerprint(runs[i].supervised->run);
-      } else {
-        span.Arg("aborted", true);
-      }
-    });
-
-    for (size_t i = 0; i < batch.size(); ++i) {
-      ++result_.schedules_executed;
-      if (!runs[i].supervised.ok()) {
-        if (AbsorbLoss(runs[i].supervised.status())) {
-          result_.speculative_runs += static_cast<int64_t>(batch.size() - i - 1);
-          return false;
-        }
-        continue;
-      }
-      if (Absorb(*runs[i].supervised, batch[i], interleavings,
-                 std::move(runs[i].fingerprint))) {
-        result_.speculative_runs += static_cast<int64_t>(batch.size() - i - 1);
-        obs::Span("lifs", "lifs.speculative_discard", 'i')
-            .Arg("count", batch.size() - i - 1);
-        return true;
-      }
+    if (Execute(*schedule, interleavings)) {
+      return true;
     }
   }
+  return false;
 }
 
 void Lifs::FinalizeFailingRun(const RunResult& run, const PreemptionSchedule& schedule,
@@ -537,9 +437,7 @@ LifsResult Lifs::Run() {
       .Arg("k", result_.interleaving_count)
       .Arg("schedules", result_.schedules_executed)
       .Arg("pruned", result_.schedules_pruned)
-      .Arg("speculative", result_.speculative_runs)
-      .Arg("aborted", result_.aborted_runs)
-      .Arg("workers", options_.workers);
+      .Arg("aborted", result_.aborted_runs);
 
   // Publish the search totals once, from the authoritative LifsResult
   // counters — report.metrics.lifs.* can never drift from LifsResult.
@@ -551,7 +449,6 @@ LifsResult Lifs::Run() {
   m.schedules_executed->Add(result_.schedules_executed);
   m.schedules_pruned->Add(result_.schedules_pruned);
   m.aborted_runs->Add(result_.aborted_runs);
-  m.speculative_runs->Add(result_.speculative_runs);
   m.discovery_us->Add(static_cast<int64_t>(result_.discovery_seconds * 1e6));
   m.depth_us->Add(static_cast<int64_t>(result_.depth_seconds * 1e6));
   return result_;
@@ -579,15 +476,6 @@ LifsResult Lifs::RunSearch() {
     } while (std::next_permutation(perm.begin(), perm.end()));
   }
 
-  // Frontier workers: every run is an independent deterministic simulation,
-  // so the only cross-run coupling is the canonical-order merge in Absorb.
-  std::optional<ThreadPool> pool_storage;
-  ThreadPool* pool = nullptr;
-  if (ThreadPool::ResolveWorkers(options_.workers) > 1) {
-    pool_storage.emplace(options_.workers);
-    pool = &*pool_storage;
-  }
-
   bool discovery_done = false;
   auto finish = [&]() -> LifsResult& {
     result_.seconds = watch.ElapsedSeconds();
@@ -607,7 +495,7 @@ LifsResult Lifs::RunSearch() {
       }
       return PreemptionSchedule{perms[next_perm++], {}};
     };
-    if (RunFrontier(frontier, 0, pool)) {
+    if (RunFrontier(frontier, 0)) {
       return finish();
     }
   }
@@ -643,7 +531,7 @@ LifsResult Lifs::RunSearch() {
         schedule.points = {{first_access, /*before=*/true, kNoThread, line.handler, line.arg}};
         return schedule;
       };
-      if (RunFrontier(frontier, 1, pool)) {
+      if (RunFrontier(frontier, 1)) {
         return finish();
       }
     }
@@ -686,13 +574,13 @@ LifsResult Lifs::RunSearch() {
                              {"schedules_executed", result_.schedules_executed}});
 
       // One pass over the depth-k frontier. Candidates are a snapshot:
-      // knowledge learned mid-pass only affects the next pass, exactly as in
-      // the serial walk (the pass's schedule set is fixed at pass start).
+      // knowledge learned mid-pass only affects the next pass (the pass's
+      // schedule set is fixed at pass start).
       const size_t stride = 2 + 2 * options_.irq_lines.size();
       PassFrontier pass(std::move(candidates), stride, static_cast<size_t>(k), &perms,
                         &options_.irq_lines);
       FrontierFn frontier = [&pass]() { return pass.Next(); };
-      if (RunFrontier(frontier, k, pool)) {
+      if (RunFrontier(frontier, k)) {
         return finish();
       }
       if (SearchCutShort()) {

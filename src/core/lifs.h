@@ -19,11 +19,6 @@
 // in it (including "phantom" races against instructions the failure
 // preempted — e.g. the B17 => A12 race of Figure 6 where A12 never executed
 // in the failing run but is known from complete runs).
-//
-// With LifsOptions::workers > 1 the frontier of each search level is
-// executed in parallel batches (every run is an independent deterministic
-// simulation) and merged back in canonical order at batch barriers, so the
-// result — winner, races, counters — is bit-identical to the serial walk.
 
 #ifndef SRC_CORE_LIFS_H_
 #define SRC_CORE_LIFS_H_
@@ -43,8 +38,6 @@
 #include "src/util/stopwatch.h"
 
 namespace aitia {
-
-class ThreadPool;
 
 struct LifsOptions {
   int max_interleavings = 3;
@@ -68,14 +61,6 @@ struct LifsOptions {
   // Wall-clock deadline for the whole search; 0 disables. On expiry the
   // search stops with result.status = kDeadlineExceeded (not reproduced).
   double search_deadline_seconds = 0;
-  // Parallel frontier exploration: number of worker threads executing
-  // candidate schedules concurrently (0 picks the hardware concurrency,
-  // 1 keeps the fully serial walk). Every run is an independent
-  // deterministic simulation, so the frontier of each search level is
-  // dispatched in batches across a ThreadPool and merged back in canonical
-  // (fewest-preemptions, front-to-back) order — the result is bit-identical
-  // to the serial search for any worker count (see DESIGN.md §9).
-  size_t workers = 1;
   // Progress-event scope (src/obs/events.h): nonzero tags this search's
   // lifecycle events so a streaming subscriber sees only its own request.
   // 0 (the default) publishes nothing. Events are write-only observability;
@@ -120,14 +105,7 @@ struct LifsResult {
   Status status;
   // Runs lost to supervision (every attempt failed); the search skips them.
   int64_t aborted_runs = 0;
-  // Schedules executed past the canonical stop point (parallel batches run a
-  // few schedules the serial walk never reaches once the winner is found or
-  // the budget expires; their results are discarded at the merge barrier).
-  // Always 0 for the serial search; excluded from schedules_executed.
-  int64_t speculative_runs = 0;
-  // Supervision accounting across all runs of this search. Includes the
-  // speculative overshoot, so parallel budgets may exceed serial ones even
-  // though every other field of this result is identical.
+  // Supervision accounting across all runs of this search.
   RunBudget budget;
   double seconds = 0;
   // Wall-clock split of `seconds`: the discovery passes (sequential orders
@@ -155,29 +133,21 @@ class Lifs {
     int64_t first_pos = 0;  // discovery position within its thread
   };
 
-  // Generates one search level's candidate schedules in the canonical
-  // serial order (tuples lexicographic front-to-back, then base orders).
+  // Generates one search level's candidate schedules in canonical order
+  // (tuples lexicographic front-to-back, then base orders).
   class PassFrontier;
   // A frontier is any generator yielding candidate schedules in canonical
   // order; nullopt means exhausted.
   using FrontierFn = std::function<std::optional<PreemptionSchedule>()>;
 
   bool MatchesTarget(const std::optional<Failure>& failure) const;
-  // Runs one schedule, updates knowledge; returns true if the failure was
+  // Runs one schedule, learns from it, records its fingerprint and explored
+  // entry, and finalizes on a symptom match. Returns true if the failure was
   // reproduced (result_ is then final).
   bool Execute(const PreemptionSchedule& schedule, int interleavings);
-  // Shared post-run bookkeeping: learns from the run, records fingerprints
-  // and explored schedules, finalizes on a symptom match. Must be called in
-  // canonical schedule order. Returns true on a match.
-  bool Absorb(EnforceResult& er, const PreemptionSchedule& schedule, int interleavings,
-              std::string fingerprint);
-  // Shared bookkeeping for a run lost to supervision. Returns true when the
-  // loss ends the search (invalid input; result_.status is then set).
-  bool AbsorbLoss(const Status& status);
-  // Walks one frontier to exhaustion, a match, or a budget cut. Serial when
-  // `pool` is null; otherwise dispatches batches across the pool and merges
-  // at batch barriers. Returns true if the failure was reproduced.
-  bool RunFrontier(const FrontierFn& next, int interleavings, ThreadPool* pool);
+  // Walks one frontier in order to exhaustion, a match, or a budget cut.
+  // Returns true if the failure was reproduced.
+  bool RunFrontier(const FrontierFn& next, int interleavings);
   void Learn(const RunResult& run);
   std::vector<KnownAccess> ConflictCandidates() const;
   void FinalizeFailingRun(const RunResult& run, const PreemptionSchedule& schedule,

@@ -94,9 +94,7 @@ RunBudget Supervisor::budget() const {
 
 StatusOr<EnforceResult> Supervisor::Supervise(const RunFn& run, uint64_t nonce) {
   // Accounting accumulates in a local delta and lands in the shared budget
-  // under a single lock per logical run: parallel LIFS frontier workers and
-  // causality diagnosers all funnel through one Supervisor instance, so the
-  // budget mutex sits on their hot path.
+  // under a single lock per logical run, not once per attempt.
   RunBudget delta;
   StatusOr<EnforceResult> out = SuperviseAccounted(run, nonce, delta);
   PublishBudgetDelta(delta);

@@ -85,8 +85,8 @@ class Supervisor {
       : image_(image), options_(std::move(options)) {}
 
   // `nonce` identifies the logical run (e.g. the flip-test index) so fault
-  // and jitter streams are stable under parallel execution order. Both
-  // methods are thread-safe.
+  // and jitter streams depend on the run, not on call order. Both methods
+  // are thread-safe.
   StatusOr<EnforceResult> RunPreemption(const std::vector<ThreadSpec>& threads,
                                         const PreemptionSchedule& schedule,
                                         const std::vector<ThreadSpec>& setup,

@@ -44,6 +44,11 @@ Status ValidateLabels(const TraceDoc& doc, const AitProgram& prog) {
 }  // namespace
 
 StatusOr<BugScenario> AssembleScenario(const TraceDoc& doc) {
+  constexpr size_t kGlobalCapacity = kGlobalEnd - kGlobalBase;
+  if (doc.globals.size() > kGlobalCapacity) {
+    return DocError(doc, doc.globals[kGlobalCapacity].pos,
+                    StrFormat("too many globals: the global region holds %zu", kGlobalCapacity));
+  }
   // Addresses and ProgramIds are assigned in declaration order — the same
   // rule KernelImage uses — so every name can be resolved up front and
   // forward references (a syscall queueing a later-defined worker) work.

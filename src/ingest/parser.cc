@@ -64,6 +64,8 @@ class Parser {
   std::string_view text_;
   std::string filename_;
   TraceDoc doc_;
+  // Names in doc_.globals, so the duplicate check stays O(log n) per line.
+  std::set<std::string> global_names_;
   bool version_seen_ = false;
   bool scenario_seen_ = false;
   bool in_program_ = false;
@@ -270,10 +272,8 @@ Status Parser::HandleGlobal(LineCursor& cur) {
   if (!s.ok()) {
     return s;
   }
-  for (const AitGlobal& g : doc_.globals) {
-    if (g.name == name.text) {
-      return Error(name.pos, StrFormat("duplicate global '%s'", name.text.c_str()));
-    }
+  if (!global_names_.insert(name.text).second) {
+    return Error(name.pos, StrFormat("duplicate global '%s'", name.text.c_str()));
   }
   AitGlobal global;
   global.name = name.text;

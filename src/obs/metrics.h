@@ -3,8 +3,8 @@
 // Named counters, gauges, and fixed-bucket histograms for the diagnosis
 // pipeline. The write path is lock-free: every instrument is split into
 // cache-line-padded shards indexed by a per-thread tag, and writers touch
-// only their own shard with relaxed atomics — parallel LIFS frontier workers
-// never contend on a metrics mutex. Shards are summed on Snapshot(), which
+// only their own shard with relaxed atomics — concurrent diagnoses never
+// contend on a metrics mutex. Shards are summed on Snapshot(), which
 // may run concurrently with writers (each field is individually atomic, so a
 // snapshot is "torn" at worst across *different* metrics, never undefined).
 //

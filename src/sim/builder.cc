@@ -1,5 +1,6 @@
 #include "src/sim/builder.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <utility>
 
@@ -217,9 +218,15 @@ Program ProgramBuilder::Build() {
     code_[index].imm = it->second;
   }
   fixups_.clear();
-  // Every program must end in control flow that cannot fall off the end.
-  if (code_.empty() || (code_.back().op != Op::kExit && code_.back().op != Op::kRet &&
-                        code_.back().op != Op::kJmp)) {
+  // Every program must end in control flow that cannot fall off the end, and
+  // every label must bind to an instruction: a label after the last one
+  // targets the implicit exit.
+  const bool label_past_end = std::any_of(labels_.begin(), labels_.end(), [&](const auto& l) {
+    return l.second == NextPc();
+  });
+  if (code_.empty() || label_past_end ||
+      (code_.back().op != Op::kExit && code_.back().op != Op::kRet &&
+       code_.back().op != Op::kJmp)) {
     code_.push_back({.op = Op::kExit});
   }
   Program p;

@@ -228,7 +228,6 @@ struct DiagnoseJob {
   BugScenario scenario;
   std::string id;
   uint64_t fingerprint = 0;
-  size_t jobs = 1;
   int64_t deadline_ms = 0;
   int64_t hold_ms = 0;
   bool cacheable = true;
@@ -415,9 +414,6 @@ void Daemon::HandleDiagnose(const JsonValue& doc, const std::string& id,
   }
 
   auto clamp = [](int64_t v, int64_t lo, int64_t hi) { return v < lo ? lo : (v > hi ? hi : v); };
-  job->jobs = static_cast<size_t>(
-      clamp(doc.Find("jobs") != nullptr ? doc.Find("jobs")->AsInt() : static_cast<int64_t>(options_.jobs),
-            1, 64));
   job->deadline_ms = clamp(
       doc.Find("deadline_ms") != nullptr ? doc.Find("deadline_ms")->AsInt() : options_.default_deadline_ms,
       1, options_.max_deadline_ms);
@@ -518,7 +514,6 @@ void Daemon::RunDiagnose(const DiagnoseJob& job, const std::shared_ptr<OnceRespo
   const double deadline_seconds = static_cast<double>(job.deadline_ms) / 1e3;
   auto run_watch = std::make_shared<Stopwatch>();
   AitiaOptions options;
-  options.set_jobs(job.jobs);
   options.set_deadline(deadline_seconds);
   options.causality.stages = options_.triage_stages;
   if (job.relay != nullptr) {

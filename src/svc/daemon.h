@@ -10,7 +10,7 @@
 // Request verbs (see README "The aitiad request protocol"):
 //   {"verb":"diagnose", "scenario":"CVE-2017-15649"}        corpus id
 //   {"verb":"diagnose", "ait":"...", "id":"r1",
-//    "jobs":2, "deadline_ms":5000, "hold_ms":0, "no_cache":false,
+//    "deadline_ms":5000, "hold_ms":0, "no_cache":false,
 //    "stream":true, "sarif":true}
 //   {"verb":"metrics"}   {"verb":"ping"}   {"verb":"shutdown"}
 //
@@ -60,8 +60,6 @@ struct DaemonOptions {
   size_t shard_capacity = 8;
   // Result-cache entries; 0 disables caching.
   size_t cache_capacity = 128;
-  // Pipeline workers *inside* one diagnosis (LIFS frontier / CA flips).
-  size_t jobs = 1;
   // Per-request wall-clock budget when the request does not set its own.
   int64_t default_deadline_ms = 20000;
   // Ceiling on client-supplied deadline_ms and hold_ms (admission clamps).

@@ -50,7 +50,7 @@ constexpr int kExitDegraded = 3;
 
 int Usage(FILE* to) {
   std::fprintf(to,
-               "usage: aitia [--json] [--jobs N] [--trace FILE] [--metrics]\n"
+               "usage: aitia [--json] [--trace FILE] [--metrics]\n"
                "             [--sarif FILE] [--metrics-json FILE]\n"
                "             [--no-prefilter] [--triage SPEC]\n"
                "             [--log-level LEVEL] <trace.ait | scenario-id>\n"
@@ -260,7 +260,7 @@ int main(int argc, char** argv) {
                  scenario.subsystem.c_str(), scenario.bug_kind.c_str());
   }
   AitiaOptions options;
-  tools::ApplySharedFlags(shared, options);
+  options.causality.stages = tools::ResolveTriagePipeline(shared);
   AitiaReport report = DiagnoseScenario(scenario, options);
   if (report.status.code() == StatusCode::kInvalidArgument) {
     std::fprintf(stderr, "aitia: %s\n", report.status.ToString().c_str());

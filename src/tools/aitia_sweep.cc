@@ -13,8 +13,8 @@
 //     scenario's racing address ranges;
 //   * serializer round-trip: every scenario re-parses and re-serializes
 //     byte-identically;
-//   * triage/replay/parallelism purity (differential stride): re-diagnosing
-//     with the pre-filter off and 4 workers yields bit-identical semantics;
+//   * triage purity (differential stride): re-diagnosing with the
+//     pre-filter off yields bit-identical semantics;
 //   * accounting: schedules_executed + flips_skipped == tested races.
 //
 // Output is a deterministic JSON summary (stdout and/or --json=FILE): equal
@@ -256,15 +256,13 @@ ScenarioResult RunOne(const gen::GenOptions& options, int index) {
   }
 
   if (index % kDifferentialStride == 0) {
-    // Differential pass: pre-filter off + 4 flip workers must not change
-    // semantics (purity of triage and parallelism).
+    // Differential pass: the pre-filter off must not change semantics
+    // (purity of triage).
     AitiaOptions alt = SweepOptions();
     alt.set_prefilter(false);
-    alt.set_jobs(4);
-    alt.lifs.workers = 1;  // set_jobs raised it; LIFS stays serial per task
     AitiaReport other = DiagnoseScenario(*reparsed, alt);
     if (Semantics(*reparsed, other) != Semantics(*reparsed, report)) {
-      AddViolation(out, s.id, "differential mismatch (prefilter off / 4 workers)");
+      AddViolation(out, s.id, "differential mismatch (prefilter off)");
     }
   }
   if (index % kFuzzStride == 0) {

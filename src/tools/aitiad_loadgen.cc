@@ -44,7 +44,6 @@ struct Config {
   std::vector<std::string> scenarios;  // empty = full corpus
   int64_t hold_ms = 0;
   int64_t deadline_ms = 0;  // 0 = daemon default
-  size_t jobs = 0;          // 0 = daemon default
   size_t max_retries = 50;
   int64_t retry_sleep_ms = 20;
   int64_t expect_bounded_queue = 0;  // 0 = skip the peak-depth check
@@ -74,7 +73,6 @@ int Usage(FILE* to) {
                "  --scenarios a,b,c        corpus ids to replay (default: all)\n"
                "  --hold-ms N              ask each diagnosis to hold its worker N ms\n"
                "  --deadline-ms N          per-request budget (0 = daemon default)\n"
-               "  --jobs N                 pipeline workers per diagnosis\n"
                "  --max-retries N          retries per request on 'overloaded' (default 50)\n"
                "  --retry-sleep-ms N       floor between retries (default 20)\n"
                "  --expect-bounded-queue N fail if svc.queue_depth_peak exceeds N\n"
@@ -184,9 +182,6 @@ void RunClient(const Config& config, size_t client_index,
           request += StrFormat(",\"deadline_ms\":%lld",
                                static_cast<long long>(config.deadline_ms));
         }
-        if (config.jobs > 0) {
-          request += StrFormat(",\"jobs\":%zu", config.jobs);
-        }
         request += "}";
 
         tally->sent.fetch_add(1);
@@ -284,8 +279,6 @@ int main(int argc, char** argv) {
       config.hold_ms = std::atoll(v);
     } else if (arg == "--deadline-ms") {
       config.deadline_ms = std::atoll(v);
-    } else if (arg == "--jobs") {
-      config.jobs = static_cast<size_t>(std::atoll(v));
     } else if (arg == "--max-retries") {
       config.max_retries = static_cast<size_t>(std::atoll(v));
     } else if (arg == "--retry-sleep-ms") {

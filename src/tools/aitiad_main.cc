@@ -452,9 +452,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "aitiad: pass exactly one of --port or --once\n");
     return Usage(stderr);
   }
-  if (shared.jobs_set) {
-    options.jobs = shared.jobs;
-  }
   options.triage_stages = aitia::tools::ResolveTriagePipeline(shared);
 
   // Probe the metrics destination upfront: an unwritable path must fail at

@@ -1,7 +1,6 @@
 #include "src/tools/options.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 
 #include "src/util/log.h"
@@ -41,21 +40,7 @@ ParseResult ParseSharedFlag(const char* binary, int argc, char** argv, int& i,
     return ParseResult::kParsed;
   }
   std::string value;
-  int m = MatchValueFlag(binary, "--jobs", argc, argv, i, value);
-  if (m != 0) {
-    if (m < 0) {
-      return ParseResult::kError;
-    }
-    if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
-      std::fprintf(stderr, "%s: --jobs expects a non-negative integer, got '%s'\n",
-                   binary, value.c_str());
-      return ParseResult::kError;
-    }
-    flags.jobs = static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
-    flags.jobs_set = true;
-    return ParseResult::kParsed;
-  }
-  m = MatchValueFlag(binary, "--triage", argc, argv, i, value);
+  int m = MatchValueFlag(binary, "--triage", argc, argv, i, value);
   if (m != 0) {
     if (m < 0) {
       return ParseResult::kError;
@@ -90,9 +75,6 @@ ParseResult ParseSharedFlag(const char* binary, int argc, char** argv, int& i,
 
 const char* SharedFlagsHelp() {
   return
-      "  --jobs N          worker threads for the search and flip-test stages\n"
-      "                    (0 = hardware concurrency; results are identical\n"
-      "                    for any worker count)\n"
       "  --no-prefilter    disable the static triage pre-filter: every race\n"
       "                    pays for its dynamic flip test. Chains and verdicts\n"
       "                    are bit-identical either way; only the re-execution\n"
@@ -114,13 +96,6 @@ analysis::TriagePipeline ResolveTriagePipeline(const SharedFlags& flags) {
     return pipeline.ok() ? *std::move(pipeline) : analysis::TriagePipeline{};
   }
   return analysis::DefaultTriagePipeline();
-}
-
-void ApplySharedFlags(const SharedFlags& flags, AitiaOptions& options) {
-  if (flags.jobs_set) {
-    options.set_jobs(flags.jobs);
-  }
-  options.causality.stages = ResolveTriagePipeline(flags);
 }
 
 }  // namespace tools

@@ -1,7 +1,7 @@
 // Command-line flags shared by the aitia and aitiad binaries.
 //
 // Both tools drive the same diagnosis pipeline, so the flags that configure
-// it — worker counts, the static triage pre-filter, log level — are parsed
+// it — the static triage pre-filter, log level — are parsed
 // here once instead of being duplicated (and drifting) in each main. Both
 // `--flag value` and `--flag=value` forms are accepted. Binary-specific
 // flags stay in their mains.
@@ -12,16 +12,12 @@
 #include <string>
 
 #include "src/analysis/triage.h"
-#include "src/core/aitia.h"
 #include "src/util/status.h"
 
 namespace aitia {
 namespace tools {
 
 struct SharedFlags {
-  // --jobs N: one worker count for every parallel pipeline stage.
-  bool jobs_set = false;
-  size_t jobs = 1;
   // --no-prefilter: run every dynamic flip test (triage pipeline cleared).
   bool prefilter = true;
   // --triage SPEC: comma-separated stage list, validated at parse time.
@@ -46,9 +42,6 @@ const char* SharedFlagsHelp();
 // The triage pipeline the flags select: empty under --no-prefilter (which
 // wins over --triage), the --triage spec when given, else the default.
 analysis::TriagePipeline ResolveTriagePipeline(const SharedFlags& flags);
-
-// Applies every shared flag to `options` (jobs, triage).
-void ApplySharedFlags(const SharedFlags& flags, AitiaOptions& options);
 
 }  // namespace tools
 }  // namespace aitia

@@ -3,7 +3,7 @@
 //
 // Thread safety: each AITIA_LOG statement buffers into its own stream and is
 // emitted as one LogMessage call; the sink (stderr by default) is guarded by
-// a single mutex, so parallel LIFS workers never interleave partial lines.
+// a single mutex, so concurrent diagnoses never interleave partial lines.
 // Every line carries a small per-thread tag ("[T3]") so interleaved *whole*
 // lines from a worker pool stay attributable.
 

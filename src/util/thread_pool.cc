@@ -3,14 +3,18 @@
 #include <utility>
 
 namespace aitia {
+namespace {
 
-size_t ThreadPool::ResolveWorkers(size_t workers) {
+// 0 picks the hardware concurrency (at least 1); anything else passes through.
+size_t ResolveWorkers(size_t workers) {
   if (workers != 0) {
     return workers;
   }
   const size_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
+
+}  // namespace
 
 ThreadPool::ThreadPool(size_t workers, size_t queue_limit) : queue_limit_(queue_limit) {
   workers = ResolveWorkers(workers);
@@ -98,15 +102,6 @@ void ThreadPool::WorkerLoop() {
       }
     }
   }
-}
-
-void ParallelFor(ThreadPool& pool, size_t n, const std::function<void(size_t)>& fn) {
-  for (size_t i = 0; i < n; ++i) {
-    if (!pool.Submit([&fn, i] { fn(i); })) {
-      fn(i);  // pool shutting down: degrade to inline execution, never drop work
-    }
-  }
-  pool.Wait();
 }
 
 }  // namespace aitia

@@ -1,9 +1,8 @@
-// Fixed-size worker pool used to parallelize independent reproducer and
-// diagnoser runs — the analog of the paper's fleet of 32 AITIA VMs (§4.1).
-//
-// Each submitted task is independent and deterministic; the pool only
-// parallelizes *across* runs, never inside one, so results are identical to a
-// serial execution.
+// Fixed-size worker pool that runs independent requests side by side: the
+// daemon's diagnosis workers (src/svc/work_queue.h) and aitia_sweep's
+// scenario jobs. One diagnosis always runs on one thread; enforced runs cost
+// microseconds here, so the parallelism that pays is across requests, not
+// inside one (DESIGN.md §9).
 
 #ifndef SRC_UTIL_THREAD_POOL_H_
 #define SRC_UTIL_THREAD_POOL_H_
@@ -26,12 +25,6 @@ class ThreadPool {
   // Submit ignores the limit — it exists for admission-controlled callers.
   explicit ThreadPool(size_t workers = 0, size_t queue_limit = 0);
   ~ThreadPool();
-
-  // Resolves a requested worker count the way the constructor does: 0 picks
-  // the hardware concurrency (at least 1), anything else passes through.
-  // Callers that stay serial below 2 workers use this to decide whether to
-  // build a pool at all.
-  static size_t ResolveWorkers(size_t workers);
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -78,9 +71,6 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> threads_;
 };
-
-// Runs `fn(i)` for i in [0, n) on `pool`, blocking until all complete.
-void ParallelFor(ThreadPool& pool, size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace aitia
 

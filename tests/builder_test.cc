@@ -41,6 +41,15 @@ TEST(BuilderTest, NoExitAppendedAfterRetOrJmp) {
   EXPECT_EQ(b2.Build().size(), 1);
 }
 
+TEST(BuilderTest, LabelPastTheLastInstructionBindsTheImplicitExit) {
+  ProgramBuilder b("p");
+  b.Jmp("end").Exit().Label("end");
+  Program p = b.Build();
+  ASSERT_EQ(p.size(), 3);
+  EXPECT_EQ(p.code[0].imm, 2);  // the jump lands on the appended exit
+  EXPECT_EQ(p.code.back().op, Op::kExit);
+}
+
 TEST(BuilderTest, NoteAttachesToLastInstruction) {
   ProgramBuilder b("p");
   b.MovImm(R1, 1).Note("first").MovImm(R2, 2).Note("second");

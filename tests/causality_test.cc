@@ -97,21 +97,6 @@ TEST(CausalityTest, AmbiguityReportedForSurroundedRaces) {
   EXPECT_EQ(ambiguous, 1);
 }
 
-TEST(CausalityTest, ParallelDiagnosersMatchSerialVerdicts) {
-  BugScenario s = MakeScenario("CVE-2017-15649");
-  CausalityOptions serial;
-  serial.workers = 1;
-  CausalityOptions parallel;
-  parallel.workers = 8;
-  Diagnosis a = DiagnoseScenario(s, serial);
-  Diagnosis b = DiagnoseScenario(s, parallel);
-  ASSERT_EQ(a.causality.tested.size(), b.causality.tested.size());
-  for (size_t i = 0; i < a.causality.tested.size(); ++i) {
-    EXPECT_EQ(a.causality.tested[i].verdict, b.causality.tested[i].verdict) << i;
-  }
-  EXPECT_EQ(a.causality.chain.Render(*s.image), b.causality.chain.Render(*s.image));
-}
-
 // Critical sections flip as a unit (§3.4 "Liveness"): the failing order of
 // two lock-protected sections is tested by reordering whole sections, never
 // by splitting them (which would deadlock).

@@ -1,7 +1,7 @@
 // Flight-deck purity differential (DESIGN.md §15): the observability plane
 // added for streaming — progress events, per-request scopes, SARIF export —
-// is write-only. Diagnosing every bundled scenario with events {off, on} ×
-// workers {1, 4} must produce bit-identical semantics (verdicts, flip bits,
+// is write-only. Diagnosing every bundled scenario with events off and on
+// must produce bit-identical semantics (verdicts, flip bits,
 // disappearance sets, rendered chain, root causes, diagnosed/degraded flags)
 // AND identical work (schedules_executed): observing a diagnosis may not
 // even change how much it executes, let alone what it concludes.
@@ -53,50 +53,43 @@ std::string Semantics(const BugScenario& s, const AitiaReport& r) {
   return out;
 }
 
-TEST(FlightdeckDifferentialTest, CorpusIdenticalWithEventsOnOffAcrossWorkers) {
+TEST(FlightdeckDifferentialTest, CorpusIdenticalWithEventsOnOff) {
   int64_t total_events = 0;
   for (const ScenarioEntry& entry : AllScenarios()) {
     BugScenario scenario = entry.make();
-    for (size_t jobs : {size_t{1}, size_t{4}}) {
-      AitiaOptions off;
-      off.set_jobs(jobs);
-      const AitiaReport baseline = DiagnoseScenario(scenario, off);
-      const std::string want = Semantics(scenario, baseline);
-      const std::string sarif_baseline = tools::ReportToSarif(scenario, baseline);
+    const AitiaReport baseline = DiagnoseScenario(scenario);
+    const std::string want = Semantics(scenario, baseline);
+    const std::string sarif_baseline = tools::ReportToSarif(scenario, baseline);
 
-      // Events on: a live subscription consumed concurrently, exactly like
-      // the daemon's streaming relay (consumer racing the pipeline).
-      const uint64_t scope = obs::EventBus::NextScope();
-      auto sub = obs::EventBus::Global().Subscribe(scope, /*capacity=*/8192);
-      int64_t consumed = 0;
-      std::thread consumer([&sub, &consumed] {
-        while (sub->Next(1000).has_value()) {
-          ++consumed;
-        }
-      });
-      AitiaOptions on;
-      on.set_jobs(jobs).set_event_scope(scope);
-      const AitiaReport streamed = DiagnoseScenario(scenario, on);
-      sub->Close();
-      consumer.join();
-      while (sub->Next(0).has_value()) {
-        ++consumed;  // close-then-drain stragglers
+    // Events on: a live subscription consumed concurrently, exactly like the
+    // daemon's streaming relay (consumer racing the pipeline).
+    const uint64_t scope = obs::EventBus::NextScope();
+    auto sub = obs::EventBus::Global().Subscribe(scope, /*capacity=*/8192);
+    int64_t consumed = 0;
+    std::thread consumer([&sub, &consumed] {
+      while (sub->Next(1000).has_value()) {
+        ++consumed;
       }
-
-      EXPECT_EQ(Semantics(scenario, streamed), want)
-          << entry.id << " jobs=" << jobs << ": events-on diverged from events-off";
-      EXPECT_EQ(sub->dropped(), 0) << entry.id << " jobs=" << jobs;
-      EXPECT_GT(consumed, 0) << entry.id << " jobs=" << jobs
-                             << ": scoped diagnosis published no events";
-      total_events += consumed;
-
-      // SARIF is a pure function of (scenario, report): identical across the
-      // on/off runs and across repeat invocations.
-      EXPECT_EQ(tools::ReportToSarif(scenario, streamed), sarif_baseline)
-          << entry.id << " jobs=" << jobs;
-      EXPECT_EQ(tools::ReportToSarif(scenario, baseline), sarif_baseline)
-          << entry.id << " jobs=" << jobs;
+    });
+    AitiaOptions on;
+    on.set_event_scope(scope);
+    const AitiaReport streamed = DiagnoseScenario(scenario, on);
+    sub->Close();
+    consumer.join();
+    while (sub->Next(0).has_value()) {
+      ++consumed;  // close-then-drain stragglers
     }
+
+    EXPECT_EQ(Semantics(scenario, streamed), want)
+        << entry.id << ": events-on diverged from events-off";
+    EXPECT_EQ(sub->dropped(), 0) << entry.id;
+    EXPECT_GT(consumed, 0) << entry.id << ": scoped diagnosis published no events";
+    total_events += consumed;
+
+    // SARIF is a pure function of (scenario, report): identical across the
+    // on/off runs and across repeat invocations.
+    EXPECT_EQ(tools::ReportToSarif(scenario, streamed), sarif_baseline) << entry.id;
+    EXPECT_EQ(tools::ReportToSarif(scenario, baseline), sarif_baseline) << entry.id;
   }
   // Sanity: the corpus exercised the event plane for real.
   EXPECT_GT(total_events, 0);

@@ -9,6 +9,7 @@
 
 #include "src/ingest/ingest.h"
 #include "src/ingest/parser.h"
+#include "src/sim/types.h"
 
 namespace aitia {
 namespace {
@@ -154,6 +155,18 @@ TEST(IngestMalformedTest, DuplicateGlobal) {
 
 TEST(IngestMalformedTest, GlobalMissingInitializer) {
   ExpectError("ait 1\nscenario \"x\"\nglobal g\n", "test.ait:3:9:", "initial value");
+}
+
+// One global more than the global region holds: refused at the first global
+// that does not fit, never an abort in KernelImage::AddGlobal.
+TEST(IngestMalformedTest, MoreGlobalsThanTheGlobalRegionHolds) {
+  const size_t capacity = static_cast<size_t>(kGlobalEnd - kGlobalBase);
+  std::string text = "ait 1\nscenario \"x\"\n";
+  for (size_t i = 0; i <= capacity; ++i) {
+    text += "global g" + std::to_string(i) + " 0\n";
+  }
+  text += "program p\nend\nslice \"t\" p\n";
+  ExpectError(text, "test.ait:" + std::to_string(capacity + 3) + ":8:", "too many globals");
 }
 
 // --- instruction-level errors -----------------------------------------------

@@ -167,6 +167,15 @@ TEST(LifsTest, ExploredSchedulesRecordedOnDemand) {
   EXPECT_TRUE(r.explored.back().matched);
 }
 
+// Each executed schedule is exactly one supervised run, so the budget and the
+// schedule counter agree on a multi-interleaving search.
+TEST(LifsTest, BudgetCountsOneRunPerSchedule) {
+  BugScenario s = MakeScenario("CVE-2017-15649");
+  LifsResult r = RunLifs(s);
+  ASSERT_TRUE(r.reproduced);
+  EXPECT_EQ(r.budget.runs, r.schedules_executed);
+}
+
 TEST(LifsTest, NoFailureScenarioExhaustsSearch) {
   // Race-free two-thread image: LIFS must terminate without reproduction.
   auto image = std::make_shared<KernelImage>();

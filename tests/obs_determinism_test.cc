@@ -2,8 +2,7 @@
 // the metrics registry must not perturb the diagnosis. Asserted corpus-wide:
 // for every bundled scenario, the winner schedule, explored order, race
 // verdicts, and causality chain are bit-identical with tracing OFF and ON
-// (with a deliberately tiny ring, so the drop path runs too), at workers=1
-// and workers=4.
+// (with a deliberately tiny ring, so the drop path runs too).
 
 #include <gtest/gtest.h>
 
@@ -20,8 +19,7 @@ namespace aitia {
 namespace {
 
 // Everything the determinism contract pins down, flattened to one comparable
-// string. Timing, budgets, and metrics are excluded: wall-clock varies and
-// parallel budgets may include speculative overshoot.
+// string. Timing and metrics are excluded: wall-clock varies.
 std::string Signature(const BugScenario& s, const AitiaReport& report) {
   std::ostringstream out;
   out << "diagnosed=" << report.diagnosed << " reproduced=" << report.lifs.reproduced
@@ -44,7 +42,7 @@ std::string Signature(const BugScenario& s, const AitiaReport& report) {
   return out.str();
 }
 
-std::string Diagnose(const BugScenario& s, size_t workers, bool traced) {
+std::string Diagnose(const BugScenario& s, bool traced) {
   if (traced) {
     // 512 events is far below what a diagnosis emits: the ring fills and the
     // drop path runs, which must be just as invisible to the pipeline.
@@ -52,8 +50,6 @@ std::string Diagnose(const BugScenario& s, size_t workers, bool traced) {
   }
   AitiaOptions options;
   options.lifs.keep_explored = true;
-  options.lifs.workers = workers;
-  options.causality.workers = workers;
   AitiaReport report = DiagnoseScenario(s, options);
   if (traced) {
     obs::Tracer::Global().Stop();
@@ -65,12 +61,9 @@ TEST(ObsDeterminismTest, TracingOnOffIsBitIdenticalCorpusWide) {
   for (const ScenarioEntry& entry : AllScenarios()) {
     SCOPED_TRACE(entry.id);
     const BugScenario s = entry.make();
-    const std::string baseline = Diagnose(s, /*workers=*/1, /*traced=*/false);
-    EXPECT_EQ(Diagnose(s, 1, true), baseline) << entry.id << ": tracing changed the result";
-    EXPECT_EQ(Diagnose(s, 4, false), baseline)
-        << entry.id << ": workers=4 diverged from serial";
-    EXPECT_EQ(Diagnose(s, 4, true), baseline)
-        << entry.id << ": workers=4 + tracing diverged";
+    const std::string baseline = Diagnose(s, /*traced=*/false);
+    EXPECT_EQ(Diagnose(s, /*traced=*/true), baseline)
+        << entry.id << ": tracing changed the result";
   }
 }
 

@@ -146,7 +146,6 @@ TEST_F(TracerTest, ReportMetricsMatchAuthoritativeCounters) {
   EXPECT_EQ(report.metrics.counter("lifs.schedules_executed"),
             report.lifs.schedules_executed);
   EXPECT_EQ(report.metrics.counter("lifs.schedules_pruned"), report.lifs.schedules_pruned);
-  EXPECT_EQ(report.metrics.counter("lifs.speculative_runs"), report.lifs.speculative_runs);
   EXPECT_EQ(report.metrics.counter("causality.flip_tests"),
             report.causality.schedules_executed);
   EXPECT_EQ(report.metrics.counter("supervisor.attempts"),

@@ -136,6 +136,10 @@ TEST(DaemonTest, CrashIsolationMalformedInputsThenSuccess) {
         << line << " -> " << status;
     EXPECT_FALSE(Field(doc, "error").empty()) << line;
   }
+  // A label after a program's last instruction binds to the implicit exit:
+  // a clean non-reproduction, never an abort.
+  EXPECT_EQ(Field(Parse(daemon.HandleLine(HostileAitRequest("trailing_label.ait"))), "status"),
+            "not_reproduced");
   // ...and the daemon must still serve real work afterwards.
   const JsonValue doc =
       Parse(daemon.HandleLine(R"({"verb":"diagnose","id":"after","scenario":"fig-1"})"));

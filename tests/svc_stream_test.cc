@@ -49,6 +49,8 @@ DaemonOptions SmallOptions() {
 }
 
 // Collects one request's frames and terminal with the ordering recorded.
+// Declare it before the Daemon that feeds it: the daemon's destructor drains
+// its workers, which may still be inside a sink after the terminal arrived.
 struct StreamLog {
   std::mutex mu;
   std::condition_variable cv;
@@ -86,8 +88,8 @@ int64_t DuplicateResponses() {
 
 TEST(SvcStreamTest, FramesThenExactlyOneTerminal) {
   const int64_t dups_before = DuplicateResponses();
-  Daemon daemon(SmallOptions());
   StreamLog log;
+  Daemon daemon(SmallOptions());
   daemon.Submit(R"({"verb":"diagnose","id":"s1","scenario":"fig-1","stream":true})",
                 log.TerminalSink(), log.FrameSink());
   log.WaitTerminal();
@@ -129,8 +131,8 @@ TEST(SvcStreamTest, FramesThenExactlyOneTerminal) {
 }
 
 TEST(SvcStreamTest, NoStreamFieldMeansNoFrames) {
-  Daemon daemon(SmallOptions());
   StreamLog log;
+  Daemon daemon(SmallOptions());
   daemon.Submit(R"({"verb":"diagnose","id":"p1","scenario":"fig-1"})", log.TerminalSink(),
                 log.FrameSink());
   log.WaitTerminal();
@@ -142,8 +144,8 @@ TEST(SvcStreamTest, NoStreamFieldMeansNoFrames) {
 }
 
 TEST(SvcStreamTest, NullStreamSinkDowngradesToPlainRequest) {
-  Daemon daemon(SmallOptions());
   StreamLog log;
+  Daemon daemon(SmallOptions());
   // "stream": true but no sink (old transport): still exactly one terminal.
   daemon.Submit(R"({"verb":"diagnose","id":"d1","scenario":"fig-1","stream":true})",
                 log.TerminalSink());
@@ -154,13 +156,13 @@ TEST(SvcStreamTest, NullStreamSinkDowngradesToPlainRequest) {
 }
 
 TEST(SvcStreamTest, CacheHitStillStreamsLifecycle) {
+  StreamLog warm;
+  StreamLog log;
   Daemon daemon(SmallOptions());
   // Warm the cache un-streamed.
-  StreamLog warm;
   daemon.Submit(R"({"verb":"diagnose","id":"w","scenario":"fig-1"})", warm.TerminalSink());
   warm.WaitTerminal();
 
-  StreamLog log;
   daemon.Submit(R"({"verb":"diagnose","id":"hit","scenario":"fig-1","stream":true})",
                 log.TerminalSink(), log.FrameSink());
   log.WaitTerminal();
@@ -196,13 +198,13 @@ TEST(SvcStreamTest, ConcurrentStreamsNeverCrossTalk) {
   DaemonOptions options = SmallOptions();
   options.workers = 4;
   options.cache_capacity = 0;  // every request runs the pipeline
-  Daemon daemon(options);
-
   constexpr int kRequests = 8;
   std::vector<std::unique_ptr<StreamLog>> logs;
   for (int i = 0; i < kRequests; ++i) {
     logs.push_back(std::make_unique<StreamLog>());
   }
+  Daemon daemon(options);
+
   for (int i = 0; i < kRequests; ++i) {
     const std::string id = "c" + std::to_string(i);
     daemon.Submit(R"({"verb":"diagnose","id":")" + id +
@@ -229,8 +231,8 @@ TEST(SvcStreamTest, ConcurrentStreamsNeverCrossTalk) {
 }
 
 TEST(SvcStreamTest, DisconnectedSinkDoesNotKillTheDaemon) {
-  Daemon daemon(SmallOptions());
   StreamLog log;
+  Daemon daemon(SmallOptions());
   // A sink that throws models a client whose connection died mid-stream.
   std::atomic<int> attempted{0};
   daemon.Submit(R"({"verb":"diagnose","id":"dead","scenario":"fig-1","stream":true})",

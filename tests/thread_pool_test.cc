@@ -63,16 +63,6 @@ TEST(ThreadPoolShutdownTest, TasksSubmittedDuringShutdownRunOrReject) {
   EXPECT_EQ(ran.load(), accepted.load());
 }
 
-TEST(ThreadPoolShutdownTest, ParallelForOnStoppedPoolRunsInline) {
-  ThreadPool pool(2);
-  pool.Shutdown();
-  std::vector<int> hits(16, 0);
-  ParallelFor(pool, hits.size(), [&hits](size_t i) { hits[i] = 1; });
-  for (int h : hits) {
-    EXPECT_EQ(h, 1);
-  }
-}
-
 TEST(ThreadPoolTrySubmitTest, AcceptedTasksRun) {
   std::atomic<int> counter{0};
   {

@@ -84,15 +84,6 @@ TEST(ThreadPoolTest, RunsAllTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(64);
-  ParallelFor(pool, hits.size(), [&hits](size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
-}
-
 TEST(ThreadPoolTest, WaitIsReusable) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
