@@ -131,7 +131,15 @@ StatusOr<BugScenario> AssembleScenario(const TraceDoc& doc) {
         case Op::kCall: b.Call(it.sym); break;
         case Op::kRet: b.Ret(); break;
         case Op::kExit: b.Exit(); break;
-        case Op::kAlloc: b.Alloc(rd, it.imm, it.leak); break;
+        case Op::kAlloc:
+          if (it.imm > kMaxAllocCells) {
+            return DocError(doc, it.pos,
+                            StrFormat("alloc of %lld cells exceeds the per-object cap of %lld",
+                                      static_cast<long long>(it.imm),
+                                      static_cast<long long>(kMaxAllocCells)));
+          }
+          b.Alloc(rd, it.imm, it.leak);
+          break;
         case Op::kFree: b.Free(rs); break;
         case Op::kLock: b.Lock(rs, it.off); break;
         case Op::kUnlock: b.Unlock(rs, it.off); break;

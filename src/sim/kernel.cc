@@ -71,6 +71,17 @@ KernelSim::KernelSim(const KernelImage* image, const std::vector<ThreadSpec>& in
     }
     if (failure_.has_value()) {
       setup_status_ = Status::InvalidArgument("setup phase faulted: " + failure_->ToString());
+    } else if (setup_status_.ok()) {
+      // No setup thread can run, yet one has not exited: it waits on a lock
+      // that nothing in the setup phase will release.
+      for (const auto& t : threads_) {
+        if (!t.exited()) {
+          setup_status_ = Status::InvalidArgument(
+              StrFormat("setup phase blocked: setup thread %d (%s) can never exit", t.id,
+                        t.name.c_str()));
+          break;
+        }
+      }
     }
     recording_ = true;
     setup_thread_count_ = static_cast<int>(threads_.size());

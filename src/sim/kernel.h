@@ -57,8 +57,8 @@ class KernelSim {
   // event recording disabled: their effects are visible in memory, but they
   // produce no trace events and therefore no spurious races against the
   // concurrent threads. `initial` threads are created afterwards. A setup
-  // phase that faults or outruns its step budget is recorded in
-  // setup_status(), never aborted on.
+  // phase that faults, outruns its step budget or blocks for good is
+  // recorded in setup_status(), never aborted on.
   KernelSim(const KernelImage* image, const std::vector<ThreadSpec>& initial,
             const std::vector<ThreadSpec>& setup = {});
 
@@ -68,7 +68,8 @@ class KernelSim {
   const KernelImage& image() const { return *image_; }
 
   // kInvalidArgument when the setup phase faulted (failure() then holds the
-  // fault) or exceeded its step budget; such a sim must not be run.
+  // fault), exceeded its step budget, or stopped with a setup thread that
+  // can never exit (blocked on a lock); such a sim must not be run.
   const Status& setup_status() const { return setup_status_; }
 
   // --- thread inspection ----------------------------------------------------

@@ -72,16 +72,18 @@ Addr Memory::Alloc(Word cells, bool leak_checked, DynInstr site) {
   if (cells <= 0) {
     cells = 1;
   }
+  if (cells > kMaxAllocCells) {
+    return 0;
+  }
+  // Fresh objects read as zero (kzalloc semantics keep scenarios simple)
+  // without a write: Load and Peek read an absent cell as 0, and heap
+  // addresses are never reused, so no cell of a new object is in cells_.
   HeapObject obj;
   obj.base = next_heap_ + kRedzoneCells;
   obj.cells = cells;
   obj.leak_checked = leak_checked;
   obj.alloc_site = site;
   next_heap_ = obj.base + static_cast<Addr>(cells) + kRedzoneCells + kHeapObjectGap;
-  // Fresh objects read as zero (kzalloc semantics keep scenarios simple).
-  for (Addr a = obj.base; a < obj.base + static_cast<Addr>(cells); ++a) {
-    cells_[a] = 0;
-  }
   objects_.push_back(obj);
   return obj.base;
 }

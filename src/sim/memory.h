@@ -48,9 +48,8 @@ class Memory {
   AccessOutcome Load(Addr addr);
   AccessOutcome Store(Addr addr, Word value);
 
-  // Allocator.
-  // Returns the object base address, or a fault (never fails in practice —
-  // the heap is unbounded).
+  // Allocator. Returns the object base address, or 0 (NULL, like a failed
+  // kmalloc) when `cells` exceeds kMaxAllocCells. O(1) whatever the size.
   Addr Alloc(Word cells, bool leak_checked, DynInstr site);
   std::optional<FailureType> Free(Addr base, DynInstr site);
 

@@ -36,6 +36,10 @@ inline constexpr Addr kRedzoneCells = 2;
 // beyond the redzone fault as general protection faults instead of silently
 // landing in a neighbouring allocation.
 inline constexpr Addr kHeapObjectGap = 64;
+// Largest object kmalloc hands out, in cells: 4 MiB of 8-byte words, the
+// kernel's KMALLOC_MAX_SIZE. A larger request returns NULL like a failed
+// kmalloc, and the .ait assembler refuses one outright.
+inline constexpr Word kMaxAllocCells = Word{1} << 19;
 // Sentinel blocked_on address for a thread waiting on IPI acknowledgements.
 inline constexpr Addr kIpiWaitAddr = ~Addr{0};
 

@@ -171,6 +171,18 @@ TEST(IngestMalformedTest, MoreGlobalsThanTheGlobalRegionHolds) {
 
 // --- instruction-level errors -----------------------------------------------
 
+// An alloc above kmalloc's per-object cap is refused at assembly, never
+// backed with memory (one such line used to exhaust the process).
+TEST(IngestMalformedTest, AllocAboveThePerObjectCap) {
+  const std::string text =
+      "ait 1\nscenario \"x\"\nprogram p\n  alloc r1, 9223372036854775807\n  exit\nend\n"
+      "slice \"t\" p\n";
+  ExpectError(text, "test.ait:4:3:", "exceeds the per-object cap");
+  const std::string at_cap = "ait 1\nscenario \"x\"\nprogram p\n  alloc r1, " +
+                             std::to_string(kMaxAllocCells) + "\n  exit\nend\nslice \"t\" p\n";
+  EXPECT_TRUE(ScenarioFromAitText(at_cap, "test.ait").ok());
+}
+
 TEST(IngestMalformedTest, UnknownMnemonic) {
   ExpectError("ait 1\nscenario \"x\"\nprogram p\n  frob r1\nend\n", "test.ait:4:3:",
               "unknown mnemonic 'frob'");

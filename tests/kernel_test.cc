@@ -335,6 +335,27 @@ TEST(KernelTest, SetupPhaseRunsUnrecorded) {
   }
 }
 
+// A setup program that takes the same lock twice blocks for good: the sim
+// refuses it as an input error instead of leaving a stuck setup thread for
+// the run to report as a deadlock.
+TEST(KernelTest, SetupPhaseThatBlocksIsAnInputError) {
+  KernelImage image;
+  Addr lk = image.AddGlobal("lk", 0);
+  ProgramBuilder setup("setup");
+  setup.Lea(R1, lk).Lock(R1).Lock(R1).Exit();
+  image.AddProgram(setup.Build());
+  ProgramBuilder main_prog("main");
+  main_prog.Exit();
+  image.AddProgram(main_prog.Build());
+
+  KernelSim kernel(&image, {{"m", 1, 0, ThreadKind::kSyscall}},
+                   {{"s", 0, 0, ThreadKind::kSyscall}});
+  EXPECT_EQ(kernel.setup_status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(kernel.setup_status().message().find("setup phase blocked"), std::string::npos)
+      << kernel.setup_status().ToString();
+  EXPECT_FALSE(kernel.failure().has_value());
+}
+
 TEST(KernelTest, WatchdogFiresOnInfiniteLoop) {
   KernelImage image;
   ProgramBuilder b("spin");

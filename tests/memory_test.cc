@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/sim/memory.h"
 
 namespace aitia {
@@ -54,6 +56,22 @@ TEST(MemoryTest, FreshAllocationReadsZero) {
     EXPECT_FALSE(out.fault.has_value());
     EXPECT_EQ(out.value, 0);
   }
+}
+
+// Above the per-object cap kmalloc fails with NULL and carves nothing; at
+// the cap the object costs O(1) and still reads as zero end to end.
+TEST(MemoryTest, AllocAboveThePerObjectCapReturnsNull) {
+  KernelImage image = ImageWithGlobals();
+  Memory mem(image);
+  EXPECT_EQ(mem.Alloc(kMaxAllocCells + 1, false, {}), 0u);
+  EXPECT_EQ(mem.Alloc(std::numeric_limits<Word>::max(), false, {}), 0u);
+  EXPECT_EQ(mem.object_count(), 0u);
+  const Addr base = mem.Alloc(kMaxAllocCells, false, {});
+  ASSERT_NE(base, 0u);
+  EXPECT_EQ(mem.Load(base).value, 0);
+  EXPECT_EQ(mem.Load(base + static_cast<Addr>(kMaxAllocCells) - 1).value, 0);
+  EXPECT_EQ(mem.Load(base + static_cast<Addr>(kMaxAllocCells)).fault,
+            FailureType::kOutOfBounds);
 }
 
 TEST(MemoryTest, RedzoneAccessIsOutOfBounds) {

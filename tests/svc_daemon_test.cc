@@ -125,9 +125,6 @@ TEST(DaemonTest, CrashIsolationMalformedInputsThenSuccess) {
       R"({"verb":"diagnose","id":"x","ait":"trace { garbage"})",
       R"({"verb":"diagnose","id":"x","scenario":"fig-1","ait":"both set"})",
       R"({"id":"x"})",
-      // Valid .ait whose setup phase faults, or never exits.
-      HostileAitRequest("setup_fault.ait"),
-      HostileAitRequest("setup_spin.ait"),
   };
   for (const std::string& line : hostile) {
     const JsonValue doc = Parse(daemon.HandleLine(line));
@@ -135,6 +132,14 @@ TEST(DaemonTest, CrashIsolationMalformedInputsThenSuccess) {
     EXPECT_TRUE(status == "invalid_argument" || status == "not_found")
         << line << " -> " << status;
     EXPECT_FALSE(Field(doc, "error").empty()) << line;
+  }
+  // Valid .ait whose setup phase faults, never exits or blocks on a lock, or
+  // that asks kmalloc for 2^63 - 1 cells: each is an input error.
+  for (const char* file :
+       {"setup_fault.ait", "setup_spin.ait", "setup_lock.ait", "huge_alloc.ait"}) {
+    const JsonValue doc = Parse(daemon.HandleLine(HostileAitRequest(file)));
+    EXPECT_EQ(Field(doc, "status"), "invalid_argument") << file;
+    EXPECT_FALSE(Field(doc, "error").empty()) << file;
   }
   // A label after a program's last instruction binds to the implicit exit:
   // a clean non-reproduction, never an abort.
