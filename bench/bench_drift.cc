@@ -13,12 +13,15 @@
 //     slower than its baseline (the first revision that recorded the cell)
 //     for --sustain consecutive revisions (default 2). One slow revision is
 //     treated as machine noise; two in a row is drift. Only archives from
-//     before the checkpoint engine's removal carry a "replay" field, and
-//     only archives from before the parallel search's removal carry a
-//     "workers" field; a cell without them keys as replay-off and one
-//     worker, so that history lines up.
-//   * identical_to_serial false anywhere — a sweep cell diverged from its
-//     reference cell at archive time. Always an error.
+//     before the checkpoint engine's removal carry a "replay" field, only
+//     archives from before the parallel search's removal carry a "workers"
+//     field, and only archives from before the static pre-filter's removal
+//     carry a "prefilter" field; a cell without them keys as replay-off,
+//     one worker and pre-filter off, so that history lines up.
+//   * identical_to_serial false anywhere — a sweep cell of an older archive
+//     diverged from its reference cell at archive time. Always an error;
+//     a cell without the field (every cell since the pre-filter's removal)
+//     counts as identical.
 //
 // Artifacts are folded in lexicographic *filename* order, so archives named
 // 0001-<rev>.json, 0002-<rev>.json, ... replay history correctly; scenarios

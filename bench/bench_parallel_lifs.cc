@@ -1,28 +1,26 @@
-// LIFS + Causality Analysis timing sweep over the triage pre-filter
-// (DESIGN.md §9, §13). The name predates the removal of the parallel search;
-// it is kept so archived BENCH_parallel_lifs.json artifacts still fold in
+// LIFS + Causality Analysis timing sweep (DESIGN.md §9). The name predates
+// the removal of the parallel search and of the static pre-filter; it is
+// kept so archived BENCH_parallel_lifs.json artifacts still fold in
 // bench_drift.
 //
 // Runs LIFS on the multi-interleaving corpus scenarios, follows each with a
-// Causality Analysis pass with the static triage pre-filter off and on,
-// verifies that both cells agree (the §13 purity contract), and writes the
-// sweep to BENCH_parallel_lifs.json:
+// Causality Analysis pass, and writes the sweep to BENCH_parallel_lifs.json,
+// one cell per scenario:
 //
 //   $ bench_parallel_lifs                              # defaults below
 //   $ bench_parallel_lifs --repeat=9 --scenarios=CVE-2017-15649,syz-02 --out=sweep.json
 //   $ bench_parallel_lifs --baseline=old_sweep.json    # regression check
 //
-// Per (scenario, prefilter) cell the minimum wall time over --repeat runs is
-// reported (minimum, not mean: scheduling noise only ever adds time).
-// hardware_concurrency is recorded so runs from different hosts stay
-// readable as such.
+// Each cell reports the minimum wall time over --repeat runs (minimum, not
+// mean: scheduling noise only ever adds time). hardware_concurrency is
+// recorded so runs from different hosts stay readable as such.
 //
 // --baseline=FILE compares this sweep against an archived one: schedule
 // counts must match bit-exactly (hard failure — the search semantics
-// changed), and any matched cell more than 20% slower is flagged on stderr
-// (soft: CI hosts are noisy, so drift warns rather than fails). Archived
-// cells from other worker counts are ignored; a cell without a "workers"
-// field is a one-thread cell.
+// changed), and a cell more than 20% slower is flagged on stderr (soft: CI
+// hosts are noisy, so drift warns rather than fails). Of an older archive's
+// cells only the one-thread, pre-filter-off cell compares: a cell without a
+// "workers" field is a one-thread cell, one without "prefilter" is off.
 
 #include <cstdio>
 #include <cstdlib>
@@ -60,55 +58,23 @@ std::vector<std::string> SplitCsv(const std::string& text) {
   return out;
 }
 
-// The LIFS fields every cell must agree on, flattened for equality.
-std::string ResultKey(const LifsResult& r) {
-  return StrFormat("reproduced=%d k=%d executed=%lld pruned=%lld schedule=%s", r.reproduced ? 1 : 0,
-                   r.interleaving_count, static_cast<long long>(r.schedules_executed),
-                   static_cast<long long>(r.schedules_pruned),
-                   r.failing_schedule.ToString().c_str());
-}
-
-// Causality-side identity: the verdict sequence and root-cause set must be
-// bit-equal in every cell, whatever the pre-filter skipped.
-std::string CaKey(const CausalityResult& r) {
-  std::string key = "verdicts=";
-  for (const TestedRace& t : r.tested) {
-    key += RaceVerdictName(t.verdict);
-    key += ";";
-  }
-  key += " roots=";
-  for (size_t i : r.root_cause_indices) {
-    key += StrFormat("%zu,", i);
-  }
-  return key;
-}
-
 struct Cell {
-  bool prefilter = false;
   double seconds = 0;
-  // Causality Analysis pass over the same failing run: wall time and the
-  // dynamic-vs-static flip split (flips_skipped is 0 with the pre-filter
-  // off; with it on, every skip is a supervised re-execution not paid).
+  // Causality Analysis pass over the same failing run: wall time and flips.
   double ca_seconds = 0;
   int64_t flips_executed = 0;
-  int64_t flips_skipped = 0;
   // Per-phase split of the best rep's wall time (LifsResult's breakdown of
   // the discovery passes vs the depth-k frontier passes).
   double discovery_seconds = 0;
   double depth_seconds = 0;
   int64_t schedules = 0;
-  bool identical = false;
 };
 
-// One archived cell from a --baseline file.
-struct BaselineCell {
-  bool prefilter = false;
-  double seconds = 0;
-};
-
+// One archived scenario from a --baseline file; seconds is 0 when it has no
+// comparable cell.
 struct BaselineScenario {
   int64_t schedules = 0;
-  std::vector<BaselineCell> cells;
+  double seconds = 0;
 };
 
 bool LoadBaseline(const std::string& path,
@@ -148,16 +114,13 @@ bool LoadBaseline(const std::string& path,
         if (const svc::JsonValue* w = c.Find("workers"); w != nullptr && w->AsInt() != 1) {
           continue;  // a parallel-search cell from an older archive
         }
-        BaselineCell cell;
-        // Pre-prefilter baselines have no "prefilter" field; treat them as
-        // the prefilter-off cells they were.
-        if (const svc::JsonValue* pf = c.Find("prefilter"); pf != nullptr) {
-          cell.prefilter = pf->AsBool();
+        if (const svc::JsonValue* pf = c.Find("prefilter"); pf != nullptr && pf->AsBool()) {
+          continue;  // a pre-filter-on cell from an older archive
         }
         if (const svc::JsonValue* sec = c.Find("seconds"); sec != nullptr) {
-          cell.seconds = sec->AsDouble();
+          bs.seconds = sec->AsDouble();
+          break;
         }
-        bs.cells.push_back(cell);
       }
     }
     out.emplace_back(id->AsString(), std::move(bs));
@@ -205,8 +168,8 @@ int main(int argc, char** argv) {
         scenario_ids.push_back(e.id);
       }
     }
-    // Plus the scenario with statically dischargeable flips, so the sweep
-    // exercises the prefilter dimension's skip accounting end to end.
+    // Plus syz-09, a one-interleaving bug whose Causality Analysis flips five
+    // races, as many as any corpus bug.
     scenario_ids.push_back("syz-09");
   }
 
@@ -223,7 +186,6 @@ int main(int argc, char** argv) {
                                "  \"scenario_count\": %zu,\n"
                                "  \"scenarios\": [\n",
                                AITIA_GIT_REVISION, hw, repeat, scenario_ids.size());
-  bool all_identical = true;
   bool baseline_schedules_match = true;
   int drift_flags = 0;
   for (size_t si = 0; si < scenario_ids.size(); ++si) {
@@ -235,58 +197,35 @@ int main(int argc, char** argv) {
     }
     BugScenario s = entry->make();
 
-    std::vector<Cell> cells;
-    std::string reference_key;  // the first prefilter-off rep
-    for (const bool prefilter : {false, true}) {
-      Cell cell;
-      cell.prefilter = prefilter;
-      cell.seconds = -1;
-      cell.ca_seconds = -1;
-      for (int rep = 0; rep < repeat; ++rep) {
-        LifsOptions options;
-        options.target_type = s.truth.failure_type;
-        Lifs lifs(s.image.get(), s.slice, s.setup, options);
-        Stopwatch watch;
-        LifsResult r = lifs.Run();
-        const double elapsed = watch.ElapsedSeconds();
-        if (cell.seconds < 0 || elapsed < cell.seconds) {
-          cell.seconds = elapsed;
-          cell.discovery_seconds = r.discovery_seconds;
-          cell.depth_seconds = r.depth_seconds;
-        }
-        cell.schedules = r.schedules_executed;
-
-        CausalityOptions co;
-        if (!prefilter) {
-          co.stages.clear();
-        }
-        CausalityAnalysis ca(s.image.get(), s.slice, s.setup, &r, co);
-        Stopwatch ca_watch;
-        CausalityResult cr = ca.Run();
-        const double ca_elapsed = ca_watch.ElapsedSeconds();
-        if (cell.ca_seconds < 0 || ca_elapsed < cell.ca_seconds) {
-          cell.ca_seconds = ca_elapsed;
-        }
-        cell.flips_executed = cr.schedules_executed;
-        cell.flips_skipped = cr.flips_skipped;
-
-        const std::string key = ResultKey(r) + " " + CaKey(cr);
-        if (!prefilter && rep == 0) {
-          reference_key = key;
-        }
-        cell.identical = key == reference_key;
-        all_identical = all_identical && cell.identical;
+    Cell cell;
+    cell.seconds = -1;
+    cell.ca_seconds = -1;
+    for (int rep = 0; rep < repeat; ++rep) {
+      LifsOptions options;
+      options.target_type = s.truth.failure_type;
+      Lifs lifs(s.image.get(), s.slice, s.setup, options);
+      Stopwatch watch;
+      LifsResult r = lifs.Run();
+      const double elapsed = watch.ElapsedSeconds();
+      if (cell.seconds < 0 || elapsed < cell.seconds) {
+        cell.seconds = elapsed;
+        cell.discovery_seconds = r.discovery_seconds;
+        cell.depth_seconds = r.depth_seconds;
       }
-      cells.push_back(cell);
+      cell.schedules = r.schedules_executed;
+
+      CausalityAnalysis ca(s.image.get(), s.slice, s.setup, &r, CausalityOptions{});
+      Stopwatch ca_watch;
+      CausalityResult cr = ca.Run();
+      const double ca_elapsed = ca_watch.ElapsedSeconds();
+      if (cell.ca_seconds < 0 || ca_elapsed < cell.ca_seconds) {
+        cell.ca_seconds = ca_elapsed;
+      }
+      cell.flips_executed = cr.schedules_executed;
     }
 
-    std::printf("%-18s\n", id.c_str());
-    for (const Cell& c : cells) {
-      std::printf("  prefilter=%-3s %8.3fms  flips=%lld skipped=%lld%s\n",
-                  c.prefilter ? "on" : "off", c.seconds * 1e3,
-                  static_cast<long long>(c.flips_executed),
-                  static_cast<long long>(c.flips_skipped), c.identical ? "" : "  DIFF!");
-    }
+    std::printf("%-18s %8.3fms  flips=%lld\n", id.c_str(), cell.seconds * 1e3,
+                static_cast<long long>(cell.flips_executed));
 
     // Regression check against the archived sweep: bit-equal schedule counts
     // (semantics), flagged wall-clock drift (performance).
@@ -294,47 +233,29 @@ int main(int argc, char** argv) {
       if (bid != id) {
         continue;
       }
-      if (bs.schedules != cells.front().schedules) {
+      if (bs.schedules != cell.schedules) {
         std::fprintf(stderr,
                      "bench_parallel_lifs: %s schedule count changed vs baseline "
                      "(%lld -> %lld)\n",
                      id.c_str(), static_cast<long long>(bs.schedules),
-                     static_cast<long long>(cells.front().schedules));
+                     static_cast<long long>(cell.schedules));
         baseline_schedules_match = false;
       }
-      for (const BaselineCell& bc : bs.cells) {
-        for (const Cell& c : cells) {
-          if (c.prefilter == bc.prefilter && bc.seconds > 0 && c.seconds > bc.seconds * 1.2) {
-            std::fprintf(stderr,
-                         "bench_parallel_lifs: DRIFT %s prefilter=%s %.3fms -> %.3fms "
-                         "(+%.0f%%)\n",
-                         id.c_str(), c.prefilter ? "on" : "off", bc.seconds * 1e3,
-                         c.seconds * 1e3, (c.seconds / bc.seconds - 1.0) * 100.0);
-            ++drift_flags;
-          }
-        }
+      if (bs.seconds > 0 && cell.seconds > bs.seconds * 1.2) {
+        std::fprintf(stderr, "bench_parallel_lifs: DRIFT %s %.3fms -> %.3fms (+%.0f%%)\n",
+                     id.c_str(), bs.seconds * 1e3, cell.seconds * 1e3,
+                     (cell.seconds / bs.seconds - 1.0) * 100.0);
+        ++drift_flags;
       }
     }
 
-    json += StrFormat("    {\"id\": \"%s\", \"schedules\": %lld, \"sweep\": [", id.c_str(),
-                      static_cast<long long>(cells.front().schedules));
-    for (size_t ci = 0; ci < cells.size(); ++ci) {
-      const Cell& c = cells[ci];
-      // "identical_to_serial" keeps its historical name for bench_drift: the
-      // cell agrees with the prefilter-off reference.
-      json += StrFormat("%s{\"prefilter\": %s, "
-                        "\"seconds\": %.6f, "
-                        "\"phases\": {\"discovery_seconds\": %.6f, \"depth_seconds\": %.6f}, "
-                        "\"ca_seconds\": %.6f, "
-                        "\"flips\": {\"executed\": %lld, \"skipped\": %lld}, "
-                        "\"identical_to_serial\": %s}",
-                        ci == 0 ? "" : ", ", c.prefilter ? "true" : "false", c.seconds,
-                        c.discovery_seconds, c.depth_seconds, c.ca_seconds,
-                        static_cast<long long>(c.flips_executed),
-                        static_cast<long long>(c.flips_skipped),
-                        c.identical ? "true" : "false");
-    }
-    json += StrFormat("]}%s\n", si + 1 == scenario_ids.size() ? "" : ",");
+    json += StrFormat(
+        "    {\"id\": \"%s\", \"schedules\": %lld, \"sweep\": [{\"seconds\": %.6f, "
+        "\"phases\": {\"discovery_seconds\": %.6f, \"depth_seconds\": %.6f}, "
+        "\"ca_seconds\": %.6f, \"flips\": {\"executed\": %lld}}]}%s\n",
+        id.c_str(), static_cast<long long>(cell.schedules), cell.seconds,
+        cell.discovery_seconds, cell.depth_seconds, cell.ca_seconds,
+        static_cast<long long>(cell.flips_executed), si + 1 == scenario_ids.size() ? "" : ",");
   }
   json += "  ]\n}\n";
 
@@ -349,10 +270,6 @@ int main(int argc, char** argv) {
   if (drift_flags > 0) {
     std::fprintf(stderr, "bench_parallel_lifs: %d cell(s) drifted >20%% vs baseline (soft)\n",
                  drift_flags);
-  }
-  if (!all_identical) {
-    std::fprintf(stderr, "bench_parallel_lifs: RESULT DIVERGED FROM PREFILTER-OFF RUN\n");
-    return 1;
   }
   if (!baseline_schedules_match) {
     return 1;

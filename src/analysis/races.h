@@ -7,8 +7,6 @@
 // thread spawn). Conflicting accesses covered by a common lock are not data
 // races — they surface as *critical-section pairs*, which Causality Analysis
 // flips as a unit (§3.4 "Liveness").
-//
-// This is the home of the static-analysis layer (DESIGN.md §13).
 
 #ifndef SRC_ANALYSIS_RACES_H_
 #define SRC_ANALYSIS_RACES_H_
@@ -47,8 +45,8 @@ struct RaceAnalysis {
 RaceAnalysis ExtractRaces(const RunResult& result);
 
 // Full happens-before check between two event seqs of the same trace
-// (a.seq < b.seq required for a positive answer). Used by ExtractRaces and
-// re-used by the static triage stages (src/analysis/triage.h).
+// (a.seq < b.seq required for a positive answer). Used by ExtractRaces;
+// public so tests can check the relation itself.
 class HbRelation {
  public:
   explicit HbRelation(const RunResult& result);

@@ -32,21 +32,6 @@ AitiaOptions& AitiaOptions::set_event_scope(uint64_t scope) {
   return *this;
 }
 
-AitiaOptions& AitiaOptions::set_prefilter(bool enabled) {
-  causality.stages =
-      enabled ? analysis::DefaultTriagePipeline() : analysis::TriagePipeline{};
-  return *this;
-}
-
-Status AitiaOptions::set_triage(const std::string& spec) {
-  StatusOr<analysis::TriagePipeline> pipeline = analysis::TriagePipelineFromSpec(spec);
-  if (!pipeline.ok()) {
-    return pipeline.status();
-  }
-  causality.stages = std::move(*pipeline);
-  return Status();
-}
-
 std::string AitiaReport::Render(const KernelImage& image) const {
   std::string out;
   if (!diagnosed) {
@@ -73,10 +58,6 @@ std::string AitiaReport::Render(const KernelImage& image) const {
   }
   out += StrFormat("Causality  : %lld flip test(s), %.3fs\n",
                    static_cast<long long>(causality.schedules_executed), causality.seconds);
-  if (causality.flips_skipped > 0) {
-    out += StrFormat("             %lld flip(s) discharged statically by the triage pre-filter\n",
-                     static_cast<long long>(causality.flips_skipped));
-  }
   if (causality.budget.retries > 0 || causality.budget.exhausted > 0) {
     out += "             supervision: " + causality.budget.ToString() + "\n";
   }
@@ -93,7 +74,6 @@ std::string AitiaReport::Render(const KernelImage& image) const {
     std::string marks;
     if (t.phantom) marks += " [phantom]";
     if (t.race.cs_pair) marks += " [critical-section]";
-    if (t.flip_skipped) marks += " [static: " + t.triage_stage + "]";
     if (!t.run_status.ok()) marks += " [run budget exhausted]";
     out += StrFormat("  %-28s %-12s%s\n", RaceLabel(image, t.race).c_str(),
                      RaceVerdictName(t.verdict), marks.c_str());

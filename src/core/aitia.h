@@ -45,17 +45,6 @@ struct AitiaOptions {
   // drain flag so in-flight diagnoses deadline-out instead of blocking exit.
   AitiaOptions& set_cancel(std::function<bool()> cancel);
 
-  // Toggles the static triage pre-filter in front of Causality Analysis's
-  // dynamic flip tests (DESIGN.md §13). On restores the default stage
-  // pipeline {hb, lockset, mhp}; off clears it so every candidate flips (the
-  // CLI's --no-prefilter flag lands here). Chains and verdicts are
-  // bit-identical either way; only the re-execution count changes.
-  AitiaOptions& set_prefilter(bool enabled);
-
-  // Replaces the triage pipeline with the stages named in `spec` (see
-  // analysis::TriagePipelineFromSpec; the CLI's --triage flag lands here).
-  Status set_triage(const std::string& spec);
-
   // Tags every stage of this diagnosis with one progress-event scope
   // (src/obs/events.h) so the daemon's streaming relay sees only its own
   // request's lifecycle events. 0 (the default) publishes nothing; events

@@ -21,11 +21,6 @@ struct CausalityMetrics {
   obs::Counter* inconclusive;
   obs::Counter* ambiguous;
   obs::Counter* us;
-  // Static triage pre-filter (DESIGN.md §13).
-  obs::Counter* prefilter_candidates;
-  obs::Counter* prefilter_skipped;
-  obs::Counter* prefilter_cs_units;
-  obs::Counter* prefilter_unknown;
 
   static const CausalityMetrics& Get() {
     static const CausalityMetrics* const m = [] {
@@ -38,10 +33,6 @@ struct CausalityMetrics {
       cm->inconclusive = reg.GetCounter("causality.verdicts.inconclusive");
       cm->ambiguous = reg.GetCounter("causality.verdicts.ambiguous");
       cm->us = reg.GetCounter("causality.us");
-      cm->prefilter_candidates = reg.GetCounter("prefilter.candidates");
-      cm->prefilter_skipped = reg.GetCounter("prefilter.skipped");
-      cm->prefilter_cs_units = reg.GetCounter("prefilter.cs_units");
-      cm->prefilter_unknown = reg.GetCounter("prefilter.unknown");
       return cm;
     }();
     return *m;
@@ -299,48 +290,6 @@ CausalityResult CausalityAnalysis::Run() {
     return x.race.second.seq > y.race.second.seq;  // backward
   });
 
-  // Static triage pre-filter (DESIGN.md §13): classify every candidate from
-  // the failing trace before paying for re-executions. kProvablyBenign skips
-  // the dynamic flip — the stage proved the flipped run observation-
-  // equivalent, so its verdict is synthesized below instead of executed.
-  // Disabled under fault injection: the proofs assume deterministic replay.
-  std::vector<analysis::TriageDecision> triage(items.size());
-  size_t skipped_total = 0;
-  const bool prefilter_on =
-      !options_.stages.empty() && !options_.supervisor.faults.enabled();
-  if (prefilter_on && !items.empty()) {
-    obs::Span triage_span("causality", "ca.triage");
-    analysis::TriageContext ctx(image_, &lifs_->failing_run, &lifs_->irq_threads);
-    size_t cs_units = 0;
-    for (size_t i = 0; i < items.size(); ++i) {
-      analysis::TriageCandidate candidate;
-      candidate.race = items[i].race;
-      candidate.phantom = items[i].phantom;
-      triage[i] = analysis::RunTriage(options_.stages, ctx, candidate);
-      switch (triage[i].verdict) {
-        case analysis::TriageVerdict::kProvablyBenign: ++skipped_total; break;
-        case analysis::TriageVerdict::kCriticalSectionUnit: ++cs_units; break;
-        default: break;
-      }
-    }
-    const CausalityMetrics& m = CausalityMetrics::Get();
-    m.prefilter_candidates->Add(static_cast<int64_t>(items.size()));
-    m.prefilter_skipped->Add(static_cast<int64_t>(skipped_total));
-    m.prefilter_cs_units->Add(static_cast<int64_t>(cs_units));
-    m.prefilter_unknown->Add(
-        static_cast<int64_t>(items.size() - skipped_total - cs_units));
-    triage_span.Arg("candidates", items.size())
-        .Arg("skipped", skipped_total)
-        .Arg("cs_units", cs_units);
-    obs::PublishDiagEvent(options_.event_scope, obs::DiagPhase::kTriage, "ca.triage", "",
-                          {{"candidates", static_cast<int64_t>(items.size())},
-                           {"skipped", static_cast<int64_t>(skipped_total)},
-                           {"cs_units", static_cast<int64_t>(cs_units)}});
-  }
-  auto skipped_by_triage = [&](size_t i) {
-    return triage[i].verdict == analysis::TriageVerdict::kProvablyBenign;
-  };
-
   // Flip tests run in index order under supervision. The nonce is the test
   // index, which keys the fault and retry streams.
   SupervisorOptions so = options_.supervisor;
@@ -349,13 +298,6 @@ CausalityResult CausalityAnalysis::Run() {
   std::vector<RunResult> flip_runs(items.size());
   std::vector<Status> flip_status(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
-    if (skipped_by_triage(i)) {
-      obs::Span("causality", "ca.flip.skipped", 'i')
-          .Arg("index", i)
-          .Arg("label", RaceLabel(*image_, items[i].race))
-          .Arg("stage", triage[i].stage);
-      continue;
-    }
     obs::Span span("causality", "ca.flip");
     span.Arg("index", i)
         .Arg("label", RaceLabel(*image_, items[i].race))
@@ -377,8 +319,7 @@ CausalityResult CausalityAnalysis::Run() {
                            {"total", static_cast<int64_t>(items.size())},
                            {"ok", flip_status[i].ok() ? 1 : 0}});
   }
-  result.schedules_executed = static_cast<int64_t>(items.size() - skipped_total);
-  result.flips_skipped = static_cast<int64_t>(skipped_total);
+  result.schedules_executed = static_cast<int64_t>(items.size());
   result.budget = supervisor.budget();
 
   // Verdicts.
@@ -389,28 +330,6 @@ CausalityResult CausalityAnalysis::Run() {
     t.race = items[i].race;
     t.phantom = items[i].phantom;
     t.nested = NestedOf(items, i);
-    t.triage_verdict = triage[i].verdict;
-    t.triage_stage = triage[i].stage;
-    t.triage_reason = triage[i].reason;
-
-    // Pre-filtered: the triage stage proved the flipped run retires exactly
-    // the failing run's event set and reproduces its failure, so the dynamic
-    // outcome is known — benign, flip effective, symptom intact — and the
-    // disappearance set equals the one the original event set induces.
-    if (skipped_by_triage(i)) {
-      t.flip_skipped = true;
-      t.verdict = RaceVerdict::kBenign;
-      ++result.benign_count;
-      t.flip_took_effect = true;
-      t.flip_still_failed = true;
-      for (size_t j = 0; j < items.size(); ++j) {
-        if (j != i && !BothSidesExecuted(items[j].race, lifs_->failing_run)) {
-          t.disappeared.push_back(j);
-        }
-      }
-      continue;
-    }
-
     t.run_status = flip_status[i];
     const RunResult& run = flip_runs[i];
 
@@ -484,8 +403,7 @@ CausalityResult CausalityAnalysis::Run() {
       if (options_.event_scope != 0 && obs::EventBus::Global().active()) {
         obs::PublishDiagEvent(options_.event_scope, obs::DiagPhase::kVerdict, "ca.verdict",
                               RaceLabel(*image_, t.race) + " " + RaceVerdictName(t.verdict),
-                              {{"index", static_cast<int64_t>(i)},
-                               {"skipped", t.flip_skipped ? 1 : 0}});
+                              {{"index", static_cast<int64_t>(i)}});
       }
       root_cause_count += t.verdict == RaceVerdict::kRootCause ? 1 : 0;
       ambiguous_count += t.verdict == RaceVerdict::kAmbiguous ? 1 : 0;
@@ -530,7 +448,6 @@ CausalityResult CausalityAnalysis::Run() {
   result.seconds = watch.ElapsedSeconds();
   CausalityMetrics::Get().us->Add(static_cast<int64_t>(result.seconds * 1e6));
   analysis_span.Arg("tests", result.schedules_executed)
-      .Arg("skipped", result.flips_skipped)
       .Arg("root_causes", result.root_cause_indices.size())
       .Arg("degraded", result.degraded);
   return result;

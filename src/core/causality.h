@@ -21,10 +21,9 @@
 #define SRC_CORE_CAUSALITY_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
-#include "src/analysis/triage.h"
+#include "src/analysis/races.h"
 #include "src/core/chain.h"
 #include "src/core/lifs.h"
 #include "src/hv/enforcer.h"
@@ -40,16 +39,8 @@ struct CausalityOptions {
   // plan. `supervisor.max_steps` is overridden by max_steps_per_run. A flip
   // test that fails every attempt is reported kInconclusive — never benign.
   SupervisorOptions supervisor;
-  // Static triage pre-filter (DESIGN.md §13): an ordered pipeline of stages
-  // run over each candidate before the dynamic flip. A kProvablyBenign
-  // verdict skips the re-execution and synthesizes the (proven) benign
-  // outcome; everything else still flips. Empty disables the pre-filter.
-  // Ignored while the supervisor's fault plan is enabled — triage proofs
-  // reason about deterministic replay, and fault injection breaks that.
-  analysis::TriagePipeline stages = analysis::DefaultTriagePipeline();
-  // Progress-event scope (src/obs/events.h): nonzero tags triage /
-  // flip-tested / verdict events for streaming subscribers; 0 publishes
-  // nothing.
+  // Progress-event scope (src/obs/events.h): nonzero tags flip-tested /
+  // verdict events for streaming subscribers; 0 publishes nothing.
   uint64_t event_scope = 0;
 };
 
@@ -76,14 +67,6 @@ struct TestedRace {
   std::vector<size_t> disappeared;
   // Indices of races necessarily reversed alongside this flip (nested).
   std::vector<size_t> nested;
-  // Static triage outcome for this candidate (pre-filter, DESIGN.md §13).
-  // kUnknown with an empty stage when the pre-filter was off or abstained.
-  analysis::TriageVerdict triage_verdict = analysis::TriageVerdict::kUnknown;
-  std::string triage_stage;
-  std::string triage_reason;
-  // True when the dynamic flip was skipped because triage proved its
-  // outcome; verdict/flip bits/disappeared are then the proven prediction.
-  bool flip_skipped = false;
 };
 
 struct CausalityResult {
@@ -93,10 +76,10 @@ struct CausalityResult {
   // non-ok run_status) — the report must surface these as unclassified.
   std::vector<size_t> inconclusive_indices;
   CausalityChain chain;
-  // Dynamic flip runs actually executed (excludes pre-filtered skips);
-  // schedules_executed + flips_skipped == tested.size().
+  // Flip runs executed: one per tested race, so == tested.size().
   int64_t schedules_executed = 0;
-  // Flip tests discharged statically by the triage pre-filter.
+  // Always 0: every tested race is flipped. Kept only because the benchmark
+  // driver still reads it.
   int64_t flips_skipped = 0;
   // Supervision accounting across all flip tests.
   RunBudget budget;

@@ -39,14 +39,12 @@ std::string ReportToJson(const AitiaReport& report, const KernelImage& image) {
 
   const RunBudget& budget = report.causality.budget;
   json += StrFormat(
-      ", \"causality\": {\"schedules\": %lld, \"flips_skipped\": %lld, "
-      "\"benign\": %d, \"inconclusive\": %d, "
+      ", \"causality\": {\"schedules\": %lld, \"benign\": %d, \"inconclusive\": %d, "
       "\"ambiguous\": %s, \"degraded\": %s, \"seconds\": %.6f, "
       "\"budget\": {\"attempts\": %lld, \"retries\": %lld, \"exhausted\": %lld, "
       "\"deadline_expirations\": %lld, \"watchdog_trips\": %lld, "
       "\"injected_faults\": %lld}}",
       static_cast<long long>(report.causality.schedules_executed),
-      static_cast<long long>(report.causality.flips_skipped),
       report.causality.benign_count, report.causality.inconclusive_count,
       report.causality.ambiguous ? "true" : "false",
       report.causality.degraded ? "true" : "false", report.causality.seconds,
@@ -64,14 +62,9 @@ std::string ReportToJson(const AitiaReport& report, const KernelImage& image) {
     }
     json += StrFormat(
         "{\"label\": \"%s\", \"verdict\": \"%s\", \"phantom\": %s, "
-        "\"critical_section\": %s, "
-        "\"triage\": {\"verdict\": \"%s\", \"stage\": \"%s\", \"skipped\": %s, "
-        "\"reason\": \"%s\"}}",
+        "\"critical_section\": %s}",
         JsonEscape(RaceLabel(image, t.race)).c_str(), RaceVerdictName(t.verdict),
-        t.phantom ? "true" : "false", t.race.cs_pair ? "true" : "false",
-        analysis::TriageVerdictName(t.triage_verdict),
-        JsonEscape(t.triage_stage).c_str(), t.flip_skipped ? "true" : "false",
-        JsonEscape(t.triage_reason).c_str());
+        t.phantom ? "true" : "false", t.race.cs_pair ? "true" : "false");
   }
   json += "]";
 

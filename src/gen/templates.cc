@@ -15,8 +15,8 @@ namespace {
 //   r1..r7   template mechanism
 //   r8, r9   salt addresses / counter values (always reloaded per site)
 //   r10      window-filler scratch
-//   r12      dead-read sink: written by salt dead reads, never read — the
-//            static dead-read triage rule is what discharges those races.
+//   r12      dead-read sink: written by salt dead reads, never read, so
+//            those races cannot steer anything.
 
 // Salt placement rule: salt sites are emitted at the TAIL of each mechanism
 // thread (after the planted mechanism, on the path every clean run takes).
@@ -30,9 +30,9 @@ namespace {
 
 // How one salt global is raced by every thread that touches it.
 enum class SaltKind {
-  kCounter,      // load/add/store — dynamically benign (flip still fails)
-  kSilentStore,  // same-value store_imm from all sides — statically benign
-  kDeadRead,     // one writer, dead reads elsewhere — statically benign
+  kCounter,      // load/add/store — the flipped count is never checked
+  kSilentStore,  // same-value store_imm from all sides — order-insensitive
+  kDeadRead,     // one writer, dead reads elsewhere — the value is never used
 };
 
 struct SaltSite {

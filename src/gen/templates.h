@@ -57,16 +57,16 @@ const std::vector<GenTemplate>& AllGenTemplates();
 struct GenKnobs {
   // Filler accesses widening the planted vulnerability window (0..3).
   int window = 1;
-  // Salted provably/dynamically benign race sites per thread (0..2): a racy
-  // stats counter, a silent same-value store pair, and a dead read — the
-  // last two are exactly what the static triage stages discharge.
+  // Salted benign race sites per thread (0..2): a racy stats counter, a
+  // silent same-value store pair, and a dead read. Flipping any of them
+  // leaves the failure intact.
   int salt = 1;
   // Benign bystander threads added to the slice (0..1; slices stay <= 3
   // threads, the corpus metadata rule).
   int extra_threads = 0;
   // kAbba: locks in the ordering cycle (2..4). kBenign: when >= 2, both
   // threads take this many locks in the *same* order (deadlock-free by
-  // construction, exercises critical-section-unit triage).
+  // construction, exercises critical-section pairs).
   int lock_depth = 2;
   // Adds a hardware-IRQ line whose handler performs one benign salted
   // access (exercises §4.6 IRQ injection against generated scenarios).
@@ -83,7 +83,7 @@ struct GeneratedScenario {
   // any reproduction is a fabricated failure.
   bool expect_failure = true;
   // Names of the salted benign-race globals. These must never appear in a
-  // causality chain (they are discharged statically or flipped benign).
+  // causality chain (their flips leave the failure intact).
   std::vector<std::string> benign_globals;
 };
 

@@ -18,8 +18,6 @@ const char* DiagPhaseName(DiagPhase phase) {
       return "lifs";
     case DiagPhase::kSupervision:
       return "supervision";
-    case DiagPhase::kTriage:
-      return "triage";
     case DiagPhase::kFlipTested:
       return "flip-tested";
     case DiagPhase::kVerdict:

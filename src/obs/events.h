@@ -3,7 +3,7 @@
 // The second observability layer: where metrics answer "how much" and spans
 // answer "how long", events answer "what is happening *right now*" — a
 // bounded stream of structured lifecycle notifications (queued → started →
-// lifs → triage → flip-tested → verdict → done) that the daemon relays to
+// lifs → flip-tested → verdict → done) that the daemon relays to
 // streaming clients as NDJSON frames.
 //
 // Design constraints, in order:
@@ -51,7 +51,6 @@ enum class DiagPhase {
   kStarted,     // a worker picked the request up
   kLifs,        // LIFS search progress (per frontier pass / reproduction)
   kSupervision, // supervisor intervention (retry, deadline, watchdog)
-  kTriage,      // static pre-filter summary
   kFlipTested,  // one dynamic flip test finished
   kVerdict,     // one race reached a settled verdict
   kDone,        // terminal: the report is about to be sent

@@ -515,7 +515,6 @@ void Daemon::RunDiagnose(const DiagnoseJob& job, const std::shared_ptr<OnceRespo
   auto run_watch = std::make_shared<Stopwatch>();
   AitiaOptions options;
   options.set_deadline(deadline_seconds);
-  options.causality.stages = options_.triage_stages;
   if (job.relay != nullptr) {
     options.set_event_scope(job.relay->scope());
   }

@@ -43,7 +43,6 @@
 #include <memory>
 #include <string>
 
-#include "src/analysis/triage.h"
 #include "src/sim/faults.h"
 #include "src/svc/cache.h"
 #include "src/svc/work_queue.h"
@@ -72,10 +71,6 @@ struct DaemonOptions {
   // How long Drain() lets in-flight work finish before arming the hard
   // cancel probe that deadlines it out.
   int64_t drain_grace_ms = 5000;
-  // Static triage pre-filter stages applied inside every diagnosis
-  // (DESIGN.md §13); empty disables the pre-filter (--no-prefilter). Chaos
-  // runs disable it automatically — triage proofs assume faultless replay.
-  analysis::TriagePipeline triage_stages = analysis::DefaultTriagePipeline();
   // Chaos: fault plan injected into every diagnosis (disabled when empty).
   // Caching is bypassed under chaos — fault-shaped results must not stick.
   FaultPlan faults;

@@ -52,7 +52,6 @@ int Usage(FILE* to) {
   std::fprintf(to,
                "usage: aitia [--json] [--trace FILE] [--metrics]\n"
                "             [--sarif FILE] [--metrics-json FILE]\n"
-               "             [--no-prefilter] [--triage SPEC]\n"
                "             [--log-level LEVEL] <trace.ait | scenario-id>\n"
                "       aitia --emit <scenario-id>   # print a corpus scenario as .ait\n"
                "       aitia --list                 # list corpus scenario ids\n"
@@ -86,7 +85,6 @@ int main(int argc, char** argv) {
   bool emit = false;
   bool generate = false;
   bool metrics = false;
-  tools::SharedFlags shared;
   std::string trace_path;
   std::string sarif_path;
   std::string metrics_json_path;
@@ -94,7 +92,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> gen_tokens;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const tools::ParseResult pr = tools::ParseSharedFlag("aitia", argc, argv, i, shared);
+    const tools::ParseResult pr = tools::ParseSharedFlag("aitia", argc, argv, i);
     if (pr == tools::ParseResult::kError) {
       return kExitInputError;
     }
@@ -259,9 +257,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "scenario   : %s (%s, %s)\n", scenario.id.c_str(),
                  scenario.subsystem.c_str(), scenario.bug_kind.c_str());
   }
-  AitiaOptions options;
-  options.causality.stages = tools::ResolveTriagePipeline(shared);
-  AitiaReport report = DiagnoseScenario(scenario, options);
+  AitiaReport report = DiagnoseScenario(scenario);
   if (report.status.code() == StatusCode::kInvalidArgument) {
     std::fprintf(stderr, "aitia: %s\n", report.status.ToString().c_str());
     (void)write_trace();

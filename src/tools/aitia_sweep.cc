@@ -2,7 +2,7 @@
 //
 // Drives fuzz → LIFS → Causality Analysis over a seed-deterministic
 // generated corpus (src/gen) with per-template pass/fail accounting, and
-// asserts the property-based invariants the curated differential tests pin,
+// asserts the property-based invariants the curated tests pin,
 // at three orders of magnitude more scenarios:
 //
 //   * no fabricated failures: benign-template scenarios never reproduce or
@@ -13,9 +13,7 @@
 //     scenario's racing address ranges;
 //   * serializer round-trip: every scenario re-parses and re-serializes
 //     byte-identically;
-//   * triage purity (differential stride): re-diagnosing with the
-//     pre-filter off yields bit-identical semantics;
-//   * accounting: schedules_executed + flips_skipped == tested races.
+//   * accounting: schedules_executed == tested races (one flip each).
 //
 // Output is a deterministic JSON summary (stdout and/or --json=FILE): equal
 // seeds produce byte-identical reports, so CI can diff reruns. Wall-clock
@@ -53,8 +51,7 @@ constexpr int kExitOk = 0;
 constexpr int kExitViolations = 1;
 constexpr int kExitUsage = 2;
 
-// Every Nth scenario gets the expensive extra passes.
-constexpr int kDifferentialStride = 10;
+// Every Nth scenario gets the expensive fuzzing pass.
 constexpr int kFuzzStride = 10;
 constexpr int kFuzzAttempts = 500;
 // Fuzz attempts granted to benign scenarios when proving the *absence* of a
@@ -108,30 +105,6 @@ int Usage(FILE* to) {
   return to == stdout ? kExitOk : kExitUsage;
 }
 
-// Semantically observable diagnosis state, comparable across pipeline
-// configurations (mirrors tests/prefilter_differential_test.cc).
-std::string Semantics(const BugScenario& s, const AitiaReport& r) {
-  std::string out;
-  out += "diagnosed=" + std::to_string(r.diagnosed);
-  out += " degraded=" + std::to_string(r.degraded);
-  out += "\nchain:\n" + r.causality.chain.Render(*s.image);
-  out += "roots:";
-  for (size_t i : r.causality.root_cause_indices) {
-    out += " " + std::to_string(i);
-  }
-  out += "\n";
-  for (const TestedRace& t : r.causality.tested) {
-    out += RaceLabel(*s.image, t.race);
-    out += " verdict=" + std::string(RaceVerdictName(t.verdict));
-    out += " phantom=" + std::to_string(t.phantom);
-    out += " cs=" + std::to_string(t.race.cs_pair);
-    out += " took_effect=" + std::to_string(t.flip_took_effect);
-    out += " still_failed=" + std::to_string(t.flip_still_failed);
-    out += "\n";
-  }
-  return out;
-}
-
 // Outcome of one generated scenario.
 struct ScenarioResult {
   gen::GenTemplate tmpl = gen::GenTemplate::kOrder;
@@ -140,7 +113,6 @@ struct ScenarioResult {
   bool root_cause_hit = false;  // buggy only: chain touches the trigger
   bool fuzzed = false;
   bool fuzz_found = false;
-  int64_t flips_skipped = 0;
   // Invariant violations (empty = clean). Each entry names the scenario and
   // the broken property.
   std::vector<std::string> violations;
@@ -166,7 +138,6 @@ void CheckBuggy(const gen::GeneratedScenario& g, const AitiaReport& report,
   const BugScenario& s = g.scenario;
   out.diagnosed = report.diagnosed;
   out.degraded = report.degraded;
-  out.flips_skipped = report.causality.flips_skipped;
   if (!report.diagnosed) {
     return;  // a miss (counts against the hit rate), not a violation
   }
@@ -175,9 +146,9 @@ void CheckBuggy(const gen::GeneratedScenario& g, const AitiaReport& report,
     AddViolation(out, s.id, "reproduced failure type != planted symptom");
     return;
   }
-  if (report.causality.schedules_executed + report.causality.flips_skipped !=
+  if (report.causality.schedules_executed !=
       static_cast<int64_t>(report.causality.tested.size())) {
-    AddViolation(out, s.id, "schedules_executed + flips_skipped != tested races");
+    AddViolation(out, s.id, "schedules_executed != tested races");
   }
   const auto ranges = RacingAddressRanges(s);
   const auto trigger = TriggerRanges(s);
@@ -255,16 +226,6 @@ ScenarioResult RunOne(const gen::GenOptions& options, int index) {
     return out;
   }
 
-  if (index % kDifferentialStride == 0) {
-    // Differential pass: the pre-filter off must not change semantics
-    // (purity of triage).
-    AitiaOptions alt = SweepOptions();
-    alt.set_prefilter(false);
-    AitiaReport other = DiagnoseScenario(*reparsed, alt);
-    if (Semantics(*reparsed, other) != Semantics(*reparsed, report)) {
-      AddViolation(out, s.id, "differential mismatch (prefilter off)");
-    }
-  }
   if (index % kFuzzStride == 0) {
     // Front-end pass: the random-preemption fuzzer should stumble onto the
     // planted bug, and the history-driven pipeline should diagnose it.
@@ -300,7 +261,6 @@ struct TemplateStats {
   int root_cause_hits = 0;
   int fuzzed = 0;
   int fuzz_found = 0;
-  int64_t flips_skipped = 0;
   int violations = 0;
 };
 
@@ -379,7 +339,6 @@ int main(int argc, char** argv) {
     ts.root_cause_hits += r.root_cause_hit ? 1 : 0;
     ts.fuzzed += r.fuzzed ? 1 : 0;
     ts.fuzz_found += r.fuzz_found ? 1 : 0;
-    ts.flips_skipped += r.flips_skipped;
     ts.violations += static_cast<int>(r.violations.size());
     if (r.tmpl != gen::GenTemplate::kBenign) {
       ++buggy_total;
@@ -403,10 +362,9 @@ int main(int argc, char** argv) {
     json += StrFormat(
         "    \"%s\": {\"generated\": %d, \"diagnosed\": %d, \"degraded\": %d, "
         "\"root_cause_hits\": %d, \"fuzzed\": %d, \"fuzz_found\": %d, "
-        "\"flips_skipped\": %lld, \"violations\": %d}%s\n",
+        "\"violations\": %d}%s\n",
         gen::GenTemplateName(order[t]), ts.generated, ts.diagnosed, ts.degraded,
-        ts.root_cause_hits, ts.fuzzed, ts.fuzz_found,
-        static_cast<long long>(ts.flips_skipped), ts.violations,
+        ts.root_cause_hits, ts.fuzzed, ts.fuzz_found, ts.violations,
         t + 1 < order.size() ? "," : "");
   }
   json += "  },\n";

@@ -363,7 +363,6 @@ int main(int argc, char** argv) {
   bool once = false;
   std::string metrics_json_path;
   svc::DaemonOptions options;
-  aitia::tools::SharedFlags shared;
 
   auto need_value = [&](int& i, const char* flag) -> const char* {
     if (i + 1 >= argc) {
@@ -385,7 +384,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     uint64_t value = 0;
     const aitia::tools::ParseResult pr =
-        aitia::tools::ParseSharedFlag("aitiad", argc, argv, i, shared);
+        aitia::tools::ParseSharedFlag("aitiad", argc, argv, i);
     if (pr == aitia::tools::ParseResult::kError) {
       return Usage(stderr);
     }
@@ -452,7 +451,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "aitiad: pass exactly one of --port or --once\n");
     return Usage(stderr);
   }
-  options.triage_stages = aitia::tools::ResolveTriagePipeline(shared);
 
   // Probe the metrics destination upfront: an unwritable path must fail at
   // startup, not swallow the flight record at exit. The probe writes a

@@ -183,12 +183,10 @@ std::string ReportToSarif(const BugScenario& scenario, const AitiaReport& report
       int order = 0;
       steps.push_back(ThreadFlowLocation(uri, line_of(t.race.first.di.at), ait_text,
                                          label + ": observed order", order++));
-      std::string evidence = t.flip_skipped
-                                 ? "flip discharged statically (" + t.triage_stage + ")"
-                                 : std::string("flip test: ") +
-                                       (t.flip_took_effect ? "order reversed" : "not enforceable") +
-                                       "; failure " +
-                                       (t.flip_still_failed ? "persisted" : "disappeared");
+      const std::string evidence =
+          std::string("flip test: ") +
+          (t.flip_took_effect ? "order reversed" : "not enforceable") + "; failure " +
+          (t.flip_still_failed ? "persisted" : "disappeared");
       steps.push_back(ThreadFlowLocation(uri, line_of(t.race.second.di.at), ait_text,
                                          label + ": " + evidence, order++));
       for (size_t gone : t.disappeared) {
@@ -209,10 +207,9 @@ std::string ReportToSarif(const BugScenario& scenario, const AitiaReport& report
     for (const TestedRace& t : ca.tested) {
       race_props.push_back(StrFormat(
           "{\"label\":\"%s\",\"verdict\":\"%s\",\"phantom\":%s,"
-          "\"critical_section\":%s,\"flip_skipped\":%s}",
+          "\"critical_section\":%s}",
           JsonEscape(RaceLabel(image, t.race)).c_str(), RaceVerdictName(t.verdict),
-          t.phantom ? "true" : "false", t.race.cs_pair ? "true" : "false",
-          t.flip_skipped ? "true" : "false"));
+          t.phantom ? "true" : "false", t.race.cs_pair ? "true" : "false"));
     }
 
     results.push_back(StrFormat(

@@ -168,46 +168,7 @@ TEST(CausalityTest, ConsolidationKeepsMinimalRepresentatives) {
 
 TEST(CausalityTest, ScheduleCountMatchesTestSetSize) {
   Diagnosis d = DiagnoseScenario(MakeScenario("fig-1"));
-  EXPECT_EQ(d.causality.schedules_executed + d.causality.flips_skipped,
-            static_cast<int64_t>(d.causality.tested.size()));
-}
-
-TEST(CausalityTest, DisabledPrefilterExecutesEveryFlip) {
-  CausalityOptions co;
-  co.stages.clear();
-  Diagnosis d = DiagnoseScenario(MakeScenario("syz-09"), co);
-  EXPECT_EQ(d.causality.flips_skipped, 0);
-  EXPECT_EQ(d.causality.schedules_executed,
-            static_cast<int64_t>(d.causality.tested.size()));
-  for (const TestedRace& t : d.causality.tested) {
-    EXPECT_FALSE(t.flip_skipped);
-  }
-}
-
-TEST(CausalityTest, PrefilterSkipsProvenFlipsWithRecordedProof) {
-  // syz-09 carries two statically dischargeable flips (a silent store pair
-  // and a dead store); the skips must be benign, carry their proof, and
-  // leave the root-cause set untouched.
-  Diagnosis off_d = DiagnoseScenario(MakeScenario("syz-09"), [] {
-    CausalityOptions co;
-    co.stages.clear();
-    return co;
-  }());
-  Diagnosis on_d = DiagnoseScenario(MakeScenario("syz-09"));
-  EXPECT_GT(on_d.causality.flips_skipped, 0);
-  EXPECT_EQ(on_d.causality.schedules_executed + on_d.causality.flips_skipped,
-            static_cast<int64_t>(on_d.causality.tested.size()));
-  EXPECT_EQ(on_d.causality.root_cause_indices, off_d.causality.root_cause_indices);
-  ASSERT_EQ(on_d.causality.tested.size(), off_d.causality.tested.size());
-  for (size_t i = 0; i < on_d.causality.tested.size(); ++i) {
-    const TestedRace& on_t = on_d.causality.tested[i];
-    EXPECT_EQ(on_t.verdict, off_d.causality.tested[i].verdict);
-    if (on_t.flip_skipped) {
-      EXPECT_EQ(on_t.triage_verdict, analysis::TriageVerdict::kProvablyBenign);
-      EXPECT_EQ(on_t.triage_stage, "hb");
-      EXPECT_FALSE(on_t.triage_reason.empty());
-    }
-  }
+  EXPECT_EQ(d.causality.schedules_executed, static_cast<int64_t>(d.causality.tested.size()));
 }
 
 }  // namespace

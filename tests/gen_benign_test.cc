@@ -1,13 +1,11 @@
 // Salted-benign-race soundness on the generated corpus (DESIGN.md §14.2).
 //
-// Every buggy template can be salted with provably/dynamically benign races
-// (racy counters, silent same-value store pairs, dead reads). This test
-// pins the triage-soundness contract beyond the curated counterexamples:
-// salted races are discharged statically or flipped benign, they never
-// appear in a causality chain, and the static pre-filter actually fires on
-// the generated corpus (prefilter.* skip counters > 0). The benign template
-// pins the other half: a scenario with *only* salted races never produces a
-// failure, under LIFS or under the fuzzer — LIFS does not fabricate.
+// Every buggy template can be salted with benign races (racy counters,
+// silent same-value store pairs, dead reads). This test pins the soundness
+// contract beyond the curated counterexamples: salted races flip benign and
+// never appear in a causality chain. The benign template pins the other
+// half: a scenario with *only* salted races never produces a failure, under
+// LIFS or under the fuzzer — LIFS does not fabricate.
 
 #include <gtest/gtest.h>
 
@@ -34,8 +32,6 @@ AitiaOptions CappedOptions() {
 
 TEST(GenBenignTest, SaltedRacesNeverAppearInAChain) {
   // Maximum salt across every buggy template, three seeds each.
-  int64_t total_flips_skipped = 0;
-  int64_t total_prefilter_skip_metric = 0;
   int salted_races_seen = 0;
   for (gen::GenTemplate tmpl : gen::AllGenTemplates()) {
     if (tmpl == gen::GenTemplate::kBenign) continue;
@@ -50,16 +46,14 @@ TEST(GenBenignTest, SaltedRacesNeverAppearInAChain) {
 
       AitiaReport report = DiagnoseScenario(g.scenario, CappedOptions());
       ASSERT_TRUE(report.diagnosed) << g.scenario.id;
-      total_flips_skipped += report.causality.flips_skipped;
-      total_prefilter_skip_metric += report.metrics.counter("prefilter.skipped");
 
       std::vector<Addr> benign_addrs;
       for (const std::string& name : g.benign_globals) {
         const Addr addr = g.scenario.image->FindGlobal(name);
         if (addr != 0) benign_addrs.push_back(addr);
       }
-      // Salted races that were tested must end benign (discharged or
-      // flipped-benign) — and must never be in the chain.
+      // Salted races that were tested must flip benign — and must never be
+      // in the chain.
       for (const TestedRace& t : report.causality.tested) {
         for (Addr addr : benign_addrs) {
           if (t.race.first.addr == addr || t.race.second.addr == addr) {
@@ -81,17 +75,14 @@ TEST(GenBenignTest, SaltedRacesNeverAppearInAChain) {
           }
         }
       }
-      // Accounting invariant regardless of how many flips triage skipped.
-      EXPECT_EQ(report.causality.schedules_executed + report.causality.flips_skipped,
+      // Accounting invariant: one flip run per tested race.
+      EXPECT_EQ(report.causality.schedules_executed,
                 static_cast<int64_t>(report.causality.tested.size()))
           << g.scenario.id;
     }
   }
-  // The salt actually generated cross-thread races, and the static
-  // pre-filter discharged at least some of them.
+  // The salt actually generated cross-thread races.
   EXPECT_GT(salted_races_seen, 0);
-  EXPECT_GT(total_flips_skipped, 0);
-  EXPECT_EQ(total_prefilter_skip_metric, total_flips_skipped);
 }
 
 TEST(GenBenignTest, BenignTemplateNeverReproducesUnderLifs) {

@@ -32,7 +32,6 @@ TEST(DiagPhaseNameTest, WireTokensAreStable) {
   EXPECT_STREQ(DiagPhaseName(DiagPhase::kStarted), "started");
   EXPECT_STREQ(DiagPhaseName(DiagPhase::kLifs), "lifs");
   EXPECT_STREQ(DiagPhaseName(DiagPhase::kSupervision), "supervision");
-  EXPECT_STREQ(DiagPhaseName(DiagPhase::kTriage), "triage");
   EXPECT_STREQ(DiagPhaseName(DiagPhase::kFlipTested), "flip-tested");
   EXPECT_STREQ(DiagPhaseName(DiagPhase::kVerdict), "verdict");
   EXPECT_STREQ(DiagPhaseName(DiagPhase::kDone), "done");

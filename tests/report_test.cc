@@ -111,34 +111,6 @@ TEST(ReportJsonTest, ChainEdgesIndexNodes) {
   ExpectValidJson(json);
 }
 
-TEST(ReportJsonTest, TriageSectionRecordsStaticVerdicts) {
-  // syz-09 has statically discharged flips: every race entry must carry a
-  // "triage" object, skipped entries must say so with a stage and reason,
-  // and the causality rollup must expose the skip count — all still strictly
-  // valid JSON (triage reasons are free text and must survive escaping).
-  BugScenario s = MakeScenario("syz-09");
-  AitiaReport report = DiagnoseScenario(s);
-  ASSERT_TRUE(report.diagnosed);
-  ASSERT_GT(report.causality.flips_skipped, 0);
-  std::string json = ReportToJson(report, *s.image);
-  EXPECT_NE(json.find("\"triage\": {\"verdict\": "), std::string::npos);
-  EXPECT_NE(json.find("\"verdict\": \"provably-benign\", \"stage\": \"hb\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"skipped\": true"), std::string::npos);
-  EXPECT_NE(json.find("\"flips_skipped\": "), std::string::npos);
-  ExpectValidJson(json);
-
-  // With the pre-filter off the same scenario must report zero skips and
-  // only abstentions.
-  AitiaOptions off;
-  off.set_prefilter(false);
-  AitiaReport baseline = DiagnoseScenario(s, off);
-  std::string off_json = ReportToJson(baseline, *s.image);
-  EXPECT_NE(off_json.find("\"flips_skipped\": 0"), std::string::npos);
-  EXPECT_EQ(off_json.find("\"skipped\": true"), std::string::npos);
-  ExpectValidJson(off_json);
-}
-
 // Every corpus scenario's report — whatever its shape (ambiguity, IRQ
 // threads, degraded flags, punctuation-heavy notes) — must serialize to
 // strictly valid JSON.
