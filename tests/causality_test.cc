@@ -14,14 +14,14 @@ struct Diagnosis {
   CausalityResult causality;
 };
 
-Diagnosis DiagnoseScenario(const BugScenario& s, CausalityOptions co = {}) {
+Diagnosis DiagnoseScenario(const BugScenario& s) {
   LifsOptions lo;
   lo.target_type = s.truth.failure_type;
   Lifs lifs(s.image.get(), s.slice, s.setup, lo);
   Diagnosis d;
   d.lifs = lifs.Run();
   EXPECT_TRUE(d.lifs.reproduced);
-  CausalityAnalysis ca(s.image.get(), s.slice, s.setup, &d.lifs, co);
+  CausalityAnalysis ca(s.image.get(), s.slice, s.setup, &d.lifs, CausalityOptions{});
   d.causality = ca.Run();
   return d;
 }

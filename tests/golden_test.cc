@@ -97,7 +97,11 @@ void ExpectGolden(const std::string& name, const std::string& actual) {
   const std::string path = kGoldenDir + "/" + name;
   if (g_update) {
     std::filesystem::create_directories(std::filesystem::path(path).parent_path());
-    std::ofstream(path, std::ios::binary | std::ios::trunc) << actual;
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << actual;
+    if (!out) {
+      ADD_FAILURE() << "cannot write " << path;
+    }
     return;
   }
   const std::optional<std::string> want = ReadFile(path);
