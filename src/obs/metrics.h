@@ -11,7 +11,7 @@
 // Determinism rule: metrics are pure read-side accounting. Nothing in the
 // pipeline reads a metric back to make a decision, so enabling or inspecting
 // them cannot perturb the winner schedule, race set, or explored order
-// (asserted corpus-wide by tests/obs_determinism_test.cc).
+// (asserted corpus-wide by tests/golden_test.cc).
 //
 // Instruments live for the process lifetime: Get* returns a stable pointer
 // that call sites cache in a function-local static, paying the registry

@@ -10,7 +10,7 @@
 //
 // Determinism rule: tracing is pure read-side. Spans observe the pipeline
 // and never feed back into it, so a traced diagnosis is bit-identical to an
-// untraced one (asserted corpus-wide by tests/obs_determinism_test.cc).
+// untraced one (asserted corpus-wide by tests/golden_test.cc).
 //
 // The export format is the Chrome trace-event JSON (the "JSON Object
 // Format"): load the file in about:tracing or https://ui.perfetto.dev.
