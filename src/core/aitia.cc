@@ -58,7 +58,7 @@ std::string AitiaReport::Render(const KernelImage& image) const {
   }
   out += StrFormat("Causality  : %lld flip test(s), %.3fs\n",
                    static_cast<long long>(causality.schedules_executed), causality.seconds);
-  if (causality.budget.retries > 0 || causality.budget.exhausted > 0) {
+  if (causality.budget.exhausted > 0) {
     out += "             supervision: " + causality.budget.ToString() + "\n";
   }
   out += "\nfailure-causing instruction sequence (memory accesses):\n";
@@ -79,8 +79,8 @@ std::string AitiaReport::Render(const KernelImage& image) const {
                      RaceVerdictName(t.verdict), marks.c_str());
   }
   if (!causality.inconclusive_indices.empty()) {
-    out += "\ninconclusive flip tests (budget exhausted after retries; these races\n"
-           "are UNCLASSIFIED, not benign):\n";
+    out += "\ninconclusive flip tests (run lost to supervision; these races are\n"
+           "UNCLASSIFIED, not benign):\n";
     for (size_t i : causality.inconclusive_indices) {
       const TestedRace& t = causality.tested[i];
       out += StrFormat("  %-28s %s\n", RaceLabel(image, t.race).c_str(),

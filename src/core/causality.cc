@@ -290,8 +290,7 @@ CausalityResult CausalityAnalysis::Run() {
     return x.race.second.seq > y.race.second.seq;  // backward
   });
 
-  // Flip tests run in index order under supervision. The nonce is the test
-  // index, which keys the fault and retry streams.
+  // Flip tests run in index order under supervision.
   SupervisorOptions so = options_.supervisor;
   so.max_steps = options_.max_steps_per_run;
   Supervisor supervisor(image_, so);
@@ -304,8 +303,7 @@ CausalityResult CausalityAnalysis::Run() {
         .Arg("phantom", items[i].phantom)
         .Arg("critical_section", items[i].race.cs_pair);
     TotalOrderSchedule flip = BuildFlip(items[i]);
-    StatusOr<EnforceResult> er =
-        supervisor.RunTotalOrder(slice_, flip, setup_, static_cast<uint64_t>(i));
+    StatusOr<EnforceResult> er = supervisor.RunTotalOrder(slice_, flip, setup_);
     if (er.ok()) {
       flip_status[i] = er->status;
       flip_runs[i] = std::move(er->run);
@@ -333,8 +331,8 @@ CausalityResult CausalityAnalysis::Run() {
     t.run_status = flip_status[i];
     const RunResult& run = flip_runs[i];
 
-    // Graceful degradation: a flip run that was lost (retries exhausted) or
-    // cut short (step budget / deadline / watchdog) yields no verdict. It is
+    // Graceful degradation: a flip run that was lost (cancelled) or cut
+    // short (step budget / deadline / watchdog) yields no verdict. It is
     // reported kInconclusive — never benign or root-cause, both of which
     // would be fabricated from a partial run — and taints no other test.
     if (!t.run_status.ok()) {

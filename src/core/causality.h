@@ -35,9 +35,9 @@ namespace aitia {
 struct CausalityOptions {
   int64_t max_steps_per_run = 200000;
   size_t max_tests = 256;
-  // Supervised execution of flip tests: deadline, watchdog, retries, fault
-  // plan. `supervisor.max_steps` is overridden by max_steps_per_run. A flip
-  // test that fails every attempt is reported kInconclusive — never benign.
+  // Supervised execution of flip tests: deadline, cancellation, watchdog.
+  // `supervisor.max_steps` is overridden by max_steps_per_run. A flip test
+  // whose run is lost is reported kInconclusive — never benign.
   SupervisorOptions supervisor;
   // Progress-event scope (src/obs/events.h): nonzero tags flip-tested /
   // verdict events for streaming subscribers; 0 publishes nothing.
@@ -57,8 +57,8 @@ struct TestedRace {
   RacePair race;
   bool phantom = false;
   RaceVerdict verdict = RaceVerdict::kBenign;
-  // Health of the flip run: non-ok when supervision exhausted its attempts
-  // (deadline, livelock, lost run) and the verdict is kInconclusive.
+  // Health of the flip run: non-ok when supervision lost it (deadline,
+  // cancellation, livelock) and the verdict is kInconclusive.
   Status run_status;
   bool flip_still_failed = false;
   bool flip_took_effect = false;

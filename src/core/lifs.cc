@@ -306,8 +306,7 @@ bool Lifs::Execute(const PreemptionSchedule& schedule, int interleavings) {
   }
   obs::Span span("lifs", "lifs.run");
   span.Arg("k", interleavings).Arg("points", schedule.points.size());
-  StatusOr<EnforceResult> supervised = supervisor_.RunPreemption(
-      slice_, schedule, setup_, static_cast<uint64_t>(result_.schedules_executed));
+  StatusOr<EnforceResult> supervised = supervisor_.RunPreemption(slice_, schedule, setup_);
   ++result_.schedules_executed;
   if (!supervised.ok()) {
     if (supervised.status().code() == StatusCode::kInvalidArgument) {
@@ -315,7 +314,7 @@ bool Lifs::Execute(const PreemptionSchedule& schedule, int interleavings) {
       // is broken and every run would fail alike, so the search ends here.
       result_.status = supervised.status();
     } else {
-      // Lost after every retry (deadline, livelock, injected fault). Nothing
+      // Lost to supervision (deadline, cancellation, livelock). Nothing
       // usable was observed; skip the schedule and move on — LIFS
       // completeness degrades gracefully instead of crashing or learning
       // from a corrupt partial trace.

@@ -55,8 +55,8 @@ struct LifsOptions {
   int64_t max_steps_per_run = 200000;
   // Record every explored schedule (Figure 5 benchmarks).
   bool keep_explored = false;
-  // Supervised execution: per-run deadline, livelock watchdog, retries, and
-  // fault plan. `supervisor.max_steps` is overridden by max_steps_per_run.
+  // Supervised execution: per-run deadline, cancellation and livelock
+  // watchdog. `supervisor.max_steps` is overridden by max_steps_per_run.
   SupervisorOptions supervisor;
   // Wall-clock deadline for the whole search; 0 disables. On expiry the
   // search stops with result.status = kDeadlineExceeded (not reproduced).
@@ -103,7 +103,8 @@ struct LifsResult {
   // outran its step budget); `reproduced` stays the primary signal — status
   // explains *why* it is false.
   Status status;
-  // Runs lost to supervision (every attempt failed); the search skips them.
+  // Runs lost to supervision (deadline, cancellation, watchdog); the search
+  // skips them.
   int64_t aborted_runs = 0;
   // Supervision accounting across all runs of this search.
   RunBudget budget;

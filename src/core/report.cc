@@ -41,18 +41,15 @@ std::string ReportToJson(const AitiaReport& report, const KernelImage& image) {
   json += StrFormat(
       ", \"causality\": {\"schedules\": %lld, \"benign\": %d, \"inconclusive\": %d, "
       "\"ambiguous\": %s, \"degraded\": %s, \"seconds\": %.6f, "
-      "\"budget\": {\"attempts\": %lld, \"retries\": %lld, \"exhausted\": %lld, "
-      "\"deadline_expirations\": %lld, \"watchdog_trips\": %lld, "
-      "\"injected_faults\": %lld}}",
+      "\"budget\": {\"attempts\": %lld, \"exhausted\": %lld, "
+      "\"deadline_expirations\": %lld, \"watchdog_trips\": %lld}}",
       static_cast<long long>(report.causality.schedules_executed),
       report.causality.benign_count, report.causality.inconclusive_count,
       report.causality.ambiguous ? "true" : "false",
       report.causality.degraded ? "true" : "false", report.causality.seconds,
-      static_cast<long long>(budget.attempts), static_cast<long long>(budget.retries),
-      static_cast<long long>(budget.exhausted),
+      static_cast<long long>(budget.attempts), static_cast<long long>(budget.exhausted),
       static_cast<long long>(budget.deadline_expirations),
-      static_cast<long long>(budget.watchdog_trips),
-      static_cast<long long>(budget.injected_faults));
+      static_cast<long long>(budget.watchdog_trips));
 
   json += ", \"races\": [";
   for (size_t i = 0; i < report.causality.tested.size(); ++i) {

@@ -1,7 +1,6 @@
 #include "src/hv/enforcer.h"
 
 #include <algorithm>
-#include <deque>
 #include <set>
 #include <string>
 #include <utility>
@@ -37,8 +36,8 @@ ThreadId MinRankRunnable(const KernelSim& kernel, const std::vector<ThreadId>& b
 // Cheap enough to keep deadline overshoot in the microseconds.
 constexpr int64_t kInterruptPollSteps = 256;
 
-// Shared supervision bookkeeping for both run modes: interrupt polling,
-// injected run aborts, and the no-progress (livelock) watchdog.
+// Shared supervision bookkeeping for both run modes: interrupt polling and
+// the no-progress (livelock) watchdog.
 class RunSupervision {
  public:
   explicit RunSupervision(const EnforceOptions& options) : options_(options) {}
@@ -52,10 +51,6 @@ class RunSupervision {
         status = std::move(s);
         return true;
       }
-    }
-    if (options_.faults != nullptr && options_.faults->AbortNow(steps)) {
-      status = Status::Unavailable("fault injection: run aborted mid-flight");
-      return true;
     }
     if (options_.stall_limit > 0) {
       if (progress != last_progress_) {
@@ -138,7 +133,6 @@ EnforceResult Enforcer::RunPreemption(const std::vector<ThreadSpec>& threads,
                                       const std::vector<ThreadSpec>& setup,
                                       const EnforceOptions& options) {
   const int64_t max_steps = options.max_steps;
-  FaultInjector* faults = options.faults;
   EnforceResult result;
 
   KernelSim kernel(image_, threads, setup);
@@ -155,22 +149,7 @@ EnforceResult Enforcer::RunPreemption(const std::vector<ThreadSpec>& threads,
   Watchpoints wps;
   RunSupervision supervision(options);
 
-  // Delayed watchpoint delivery (fault seam): events are buffered and fed to
-  // the observer `watchpoint_delay` retirements late, order preserved.
-  std::deque<ExecEvent> delayed;
-  const int64_t wp_delay = faults != nullptr ? faults->watchpoint_delay() : 0;
-  kernel.set_observer([&](const ExecEvent& e) {
-    if (wp_delay <= 0) {
-      wps.Observe(e);
-      return;
-    }
-    delayed.push_back(e);
-    faults->CountDelayedEvent();
-    while (static_cast<int64_t>(delayed.size()) > wp_delay) {
-      wps.Observe(delayed.front());
-      delayed.pop_front();
-    }
-  });
+  kernel.set_observer([&](const ExecEvent& e) { wps.Observe(e); });
 
   auto pick = [&]() -> ThreadId {
     ThreadId tid = MinRankRunnable(kernel, schedule.base_order);
@@ -190,20 +169,11 @@ EnforceResult Enforcer::RunPreemption(const std::vector<ThreadSpec>& threads,
 
   while (!kernel.failure().has_value() && steps < max_steps) {
     // Schedule progress = retired events + fired points; a loop of blocked
-    // steps or spurious wakeups that fires nothing eventually trips the
-    // watchdog.
+    // steps that fires nothing eventually trips the watchdog.
     if (supervision.ShouldAbort(
             steps, static_cast<int64_t>(kernel.trace().size()) + points_fired,
             result.status)) {
       break;
-    }
-    // Spurious-wakeup fault seam: a parked thread rejoins the runnable set
-    // ahead of schedule, as a trampoline vCPU kicked by a stray IPI would.
-    if (faults != nullptr && !park_fifo.empty() && faults->SpuriousWakeup()) {
-      size_t victim = faults->PickIndex(park_fifo.size());
-      ThreadId woken = park_fifo[victim];
-      park_fifo.erase(park_fifo.begin() + static_cast<std::ptrdiff_t>(victim));
-      kernel.Unpark(woken);
     }
     if (current == kNoThread || !kernel.thread(current).runnable()) {
       current = pick();
@@ -221,9 +191,6 @@ EnforceResult Enforcer::RunPreemption(const std::vector<ThreadSpec>& threads,
       const PreemptPoint& point = schedule.points[pi];
       if (consumed[pi] || !point.before || !dyn.has_value() || !(point.after == *dyn)) {
         continue;
-      }
-      if (faults != nullptr && faults->DropPreemptionPoint()) {
-        break;  // breakpoint missed: the instruction retires unparked
       }
       consumed[pi] = true;
       ++points_fired;
@@ -260,9 +227,6 @@ EnforceResult Enforcer::RunPreemption(const std::vector<ThreadSpec>& threads,
           !(schedule.points[pi].after == *dyn)) {
         continue;
       }
-      if (faults != nullptr && faults->DropPreemptionPoint()) {
-        break;  // breakpoint missed: no park, no watchpoint
-      }
       consumed[pi] = true;
       ++points_fired;
       // Arm a watchpoint over what the preempted instruction touched, as the
@@ -289,11 +253,6 @@ EnforceResult Enforcer::RunPreemption(const std::vector<ThreadSpec>& threads,
     if (!consumed[pi]) {
       result.unfired_points.push_back(schedule.points[pi].after);
     }
-  }
-  // Late watchpoint deliveries still land before the run is scored.
-  while (!delayed.empty()) {
-    wps.Observe(delayed.front());
-    delayed.pop_front();
   }
   result.steps = steps;
   result.run = kernel.Collect();
@@ -401,7 +360,7 @@ EnforceResult Enforcer::RunTotalOrder(const std::vector<ThreadSpec>& threads,
 
   // Drain phase: release parked threads and run everything to completion in
   // base order. The stall watchdog is moot here (every drain step retires),
-  // but deadlines and injected aborts stay live.
+  // but deadlines and cancellation stay live.
   if (result.status.ok()) {
     for (ThreadId tid = 0; tid < kernel.thread_count(); ++tid) {
       kernel.Unpark(tid);

@@ -15,7 +15,6 @@
 
 #include "src/hv/schedule.h"
 #include "src/hv/watchpoint.h"
-#include "src/sim/faults.h"
 #include "src/sim/kernel.h"
 #include "src/sim/thread.h"
 #include "src/util/status.h"
@@ -32,17 +31,16 @@ struct EnforceOptions {
   // whose liveness drain spins a lock holder forever — long before the step
   // budget would.
   int64_t stall_limit = 0;
-  // Fault-injection harness for this run (not owned); nullptr disables.
-  FaultInjector* faults = nullptr;
   // Polled every few hundred steps; a non-ok Status aborts the run with that
-  // status. The supervisor uses this for wall-clock deadlines.
+  // status. The supervisor uses this for wall-clock deadlines and
+  // cancellation.
   std::function<Status()> interrupt;
 };
 
 struct EnforceResult {
   RunResult run;
   // Health of the enforcement itself: non-ok when the run was cut short
-  // (deadline, livelock watchdog, injected fault) and `run` is partial, or
+  // (deadline, cancellation, livelock watchdog) and `run` is partial, or
   // never started (kInvalidArgument: the setup phase faulted or outran its
   // step budget; `run` is empty). The kernel-level symptom, if any, stays in
   // run.failure.

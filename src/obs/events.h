@@ -50,7 +50,7 @@ enum class DiagPhase {
   kQueued,      // accepted by the daemon admission queue
   kStarted,     // a worker picked the request up
   kLifs,        // LIFS search progress (per frontier pass / reproduction)
-  kSupervision, // supervisor intervention (retry, deadline, watchdog)
+  kSupervision, // supervisor lost a run (deadline, cancel, watchdog)
   kFlipTested,  // one dynamic flip test finished
   kVerdict,     // one race reached a settled verdict
   kDone,        // terminal: the report is about to be sent

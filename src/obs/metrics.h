@@ -61,7 +61,7 @@ class Gauge {
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
   // Raises the gauge to `value` if it reads below it (lock-free CAS loop).
-  // High-water marks — e.g. the service queue-depth peak that the chaos
+  // High-water marks — e.g. the service queue-depth peak that the load
   // driver asserts stays within the configured bound — are gauges that only
   // ever move up, so concurrent writers need max, not last-write-wins.
   void SetMax(int64_t value) {

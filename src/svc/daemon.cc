@@ -78,7 +78,7 @@ struct Daemon::Metrics {
 
 // Wraps the transport callback so a request can answer at most once, no
 // matter how many code paths race to it. A second send is dropped and
-// counted — the chaos driver asserts that counter stays 0.
+// counted — the load and drain drivers assert that counter stays 0.
 class Daemon::OnceResponder {
  public:
   explicit OnceResponder(Responder fn) : fn_(std::move(fn)) {}
@@ -210,9 +210,9 @@ std::string ResultResponse(const std::string& id, const std::string& scenario_id
 
 // Maps a finished pipeline report to the protocol's terminal status word.
 // "not_reproduced" is reserved for *clean* non-reproduction: a search that
-// lost runs to faults, deadlines, or cancellation reads as "degraded" even
-// when it found nothing, so callers never mistake a cut-short search for a
-// verdict.
+// lost runs to deadlines, cancellation or the watchdog reads as "degraded"
+// even when it found nothing, so callers never mistake a cut-short search
+// for a verdict.
 const char* StatusWord(const AitiaReport& report) {
   if (report.degraded || !report.status.ok()) {
     return "degraded";
@@ -421,11 +421,9 @@ void Daemon::HandleDiagnose(const JsonValue& doc, const std::string& id,
       clamp(doc.Find("hold_ms") != nullptr ? doc.Find("hold_ms")->AsInt() : 0, 0, options_.max_hold_ms);
   const bool no_cache = doc.Find("no_cache") != nullptr && doc.Find("no_cache")->AsBool();
   job->sarif = doc.Find("sarif") != nullptr && doc.Find("sarif")->AsBool();
-  // Chaos runs bypass the cache in both directions: a fault-shaped result
-  // must neither be served from nor stored into it. SARIF requests bypass it
-  // too: the log is built from the in-memory report, which the cache does
-  // not retain, so a hit could not carry one.
-  job->cacheable = !no_cache && !job->sarif && !options_.faults.enabled();
+  // SARIF requests bypass the cache: the log is built from the in-memory
+  // report, which the cache does not retain, so a hit could not carry one.
+  job->cacheable = !no_cache && !job->sarif;
   job->fingerprint = ScenarioFingerprint(job->scenario);
 
   // "stream": true with a frame-capable transport: attach the relay now —
@@ -504,7 +502,7 @@ void Daemon::RunDiagnose(const DiagnoseJob& job, const std::shared_ptr<OnceRespo
                        {{"queue_depth", static_cast<int64_t>(queue_->depth())}});
   }
 
-  // Load/chaos hook: an artificial pre-diagnosis delay, so drivers can pin a
+  // Load hook: an artificial pre-diagnosis delay, so drivers can pin a
   // worker for a known time. Sliced so a hard drain cuts it short.
   for (int64_t held = 0; held < job.hold_ms && !drain_hard_.load(std::memory_order_acquire);
        held += 5) {
@@ -525,16 +523,6 @@ void Daemon::RunDiagnose(const DiagnoseJob& job, const std::shared_ptr<OnceRespo
     return drain_hard_.load(std::memory_order_acquire) ||
            run_watch->ElapsedSeconds() > deadline_seconds;
   });
-  if (options_.faults.enabled()) {
-    FaultPlan plan = options_.faults;
-    // Vary the fault stream per scenario (deterministically) so a corpus
-    // replay does not fail the same way 22 times.
-    plan.seed ^= job.fingerprint;
-    options.lifs.supervisor.faults = plan;
-    options.lifs.supervisor.max_attempts = options_.fault_max_attempts;
-    options.causality.supervisor.faults = plan;
-    options.causality.supervisor.max_attempts = options_.fault_max_attempts;
-  }
 
   AitiaReport report = DiagnoseScenario(job.scenario, options);
   // A scenario that parsed but cannot run (its setup phase faulted or never

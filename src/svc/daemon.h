@@ -43,7 +43,6 @@
 #include <memory>
 #include <string>
 
-#include "src/sim/faults.h"
 #include "src/svc/cache.h"
 #include "src/svc/work_queue.h"
 #include "src/util/stopwatch.h"
@@ -71,11 +70,6 @@ struct DaemonOptions {
   // How long Drain() lets in-flight work finish before arming the hard
   // cancel probe that deadlines it out.
   int64_t drain_grace_ms = 5000;
-  // Chaos: fault plan injected into every diagnosis (disabled when empty).
-  // Caching is bypassed under chaos — fault-shaped results must not stick.
-  FaultPlan faults;
-  // Supervisor attempts per run while faults are enabled.
-  int fault_max_attempts = 3;
   // Invoked (once) when a client sends the "shutdown" verb, so a blocking
   // transport loop can wake up and start the drain. May be null.
   std::function<void()> on_shutdown_request;

@@ -1,4 +1,4 @@
-// aitiad_loadgen — load / chaos driver for the aitiad daemon.
+// aitiad_loadgen — load driver for the aitiad daemon.
 //
 // Replays the bug corpus against a running daemon at high concurrency and
 // asserts the robustness contract from DESIGN.md §11:

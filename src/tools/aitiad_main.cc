@@ -16,9 +16,7 @@
 //     failures become structured error responses while the daemon serves on;
 //   - graceful drain on SIGTERM/SIGINT (or the "shutdown" verb): stop
 //     admitting, finish or deadline-out in-flight work, flush metrics,
-//     exit 0;
-//   - optional chaos mode (--chaos-*): seed-deterministic fault injection
-//     inside every diagnosis, for load/soak drivers.
+//     exit 0.
 //
 // Exit codes: 0 clean drain, 1 fatal runtime error (bind/listen), 2 usage.
 
@@ -58,7 +56,7 @@ namespace {
 using namespace aitia;
 
 // Metrics flight record. Registered with atexit and also written the moment
-// the drain starts, so hard exits — chaos drivers SIGKILLing mid-drain, a
+// the drain starts, so hard exits — drivers SIGKILLing mid-drain, a
 // cancel path that aborts — still leave a non-empty record behind instead of
 // the zero-byte probe file. The graceful path overwrites it with the final
 // snapshot.
@@ -103,10 +101,6 @@ int Usage(FILE* to) {
                "  --drain-grace-ms N  drain wait before cancelling in-flight work (default 5000)\n"
                "  --retry-after-ms N  hint attached to overloaded rejections (default 50)\n"
                "  --metrics-json F    write the final metrics snapshot to F on exit\n"
-               "  --chaos-seed S      fault-injection seed (enables nothing by itself)\n"
-               "  --chaos-drop P      per-mille dropped preemption points\n"
-               "  --chaos-wakeup P    per-mille spurious wakeups (per step)\n"
-               "  --chaos-abort P     per-mille aborted runs\n"
                "%s"
                "\n"
                "protocol: one JSON object per line; see README 'aitiad request protocol'.\n",
@@ -428,18 +422,6 @@ int main(int argc, char** argv) {
       const char* v = need_value(i, "--metrics-json");
       if (v == nullptr) return Usage(stderr);
       metrics_json_path = v;
-    } else if (arg == "--chaos-seed") {
-      if (!parse_u64(need_value(i, "--chaos-seed"), value)) return Usage(stderr);
-      options.faults.seed = value;
-    } else if (arg == "--chaos-drop") {
-      if (!parse_u64(need_value(i, "--chaos-drop"), value)) return Usage(stderr);
-      options.faults.drop_preemption_point = static_cast<uint32_t>(value);
-    } else if (arg == "--chaos-wakeup") {
-      if (!parse_u64(need_value(i, "--chaos-wakeup"), value)) return Usage(stderr);
-      options.faults.spurious_wakeup = static_cast<uint32_t>(value);
-    } else if (arg == "--chaos-abort") {
-      if (!parse_u64(need_value(i, "--chaos-abort"), value)) return Usage(stderr);
-      options.faults.abort_run = static_cast<uint32_t>(value);
     } else if (arg == "--help" || arg == "-h") {
       return Usage(stdout);
     } else {
@@ -455,7 +437,7 @@ int main(int argc, char** argv) {
   // Probe the metrics destination upfront: an unwritable path must fail at
   // startup, not swallow the flight record at exit. The probe writes a
   // provisional (near-empty) snapshot rather than zero bytes, and atexit
-  // re-flushes on *every* exit path — hard-cancel exits included — so chaos
+  // re-flushes on *every* exit path — hard-cancel exits included — so
   // flight records are never empty.
   if (!metrics_json_path.empty()) {
     std::ofstream probe(metrics_json_path, std::ios::binary | std::ios::trunc);

@@ -19,9 +19,9 @@ namespace aitia {
 enum class StatusCode {
   kOk = 0,
   kDeadlineExceeded,    // wall-clock deadline expired mid-run
-  kResourceExhausted,   // step / schedule / retry budget spent
+  kResourceExhausted,   // step / schedule budget spent
   kAborted,             // watchdog detected a livelocked schedule
-  kUnavailable,         // transient loss of the run (injected or real fault)
+  kUnavailable,         // I/O or socket failure (no run produces it)
   kFailedPrecondition,  // the request could not be attempted at all
   kInternal,            // invariant violation inside the pipeline
   kInvalidArgument,     // malformed input (trace parse / semantic errors)

@@ -30,7 +30,6 @@ fail() {
 
 # Queue bound: 4 shards x 4 slots. The loadgen checks peak depth <= 16.
 "$AITIAD" --port 0 --workers 4 --queue-shards 4 --shard-capacity 4 \
-    --chaos-seed 20260809 --chaos-drop 30 --chaos-wakeup 20 --chaos-abort 10 \
     --metrics-json "$METRICS" >"$OUT" 2>"$WORK/daemon.err" &
 DPID=$!
 

@@ -173,7 +173,7 @@ TEST(LifsTest, BudgetCountsOneRunPerSchedule) {
   BugScenario s = MakeScenario("CVE-2017-15649");
   LifsResult r = RunLifs(s);
   ASSERT_TRUE(r.reproduced);
-  EXPECT_EQ(r.budget.runs, r.schedules_executed);
+  EXPECT_EQ(r.budget.attempts, r.schedules_executed);
 }
 
 TEST(LifsTest, NoFailureScenarioExhaustsSearch) {

@@ -1,5 +1,5 @@
-// Supervisor coverage: wall-clock deadlines, the livelock watchdog, bounded
-// retry under injected faults, and kInconclusive propagation all the way into
+// Supervisor coverage: wall-clock deadlines, the livelock watchdog,
+// cancellation, and kInconclusive propagation all the way into
 // AitiaReport::Render.
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "src/core/aitia.h"
 #include "src/hv/supervisor.h"
 #include "src/sim/builder.h"
-#include "src/sim/faults.h"
 
 namespace aitia {
 namespace {
@@ -31,37 +30,18 @@ struct InfiniteLoop {
   }
 };
 
-// Two short writers, used for fault-retry tests.
-struct TwoWriters {
-  KernelImage image;
-  std::vector<ThreadSpec> threads;
-
-  TwoWriters() {
-    Addr g = image.AddGlobal("g", 0);
-    for (int i = 0; i < 2; ++i) {
-      ProgramBuilder b(i == 0 ? "w0" : "w1");
-      b.Lea(R1, g).StoreImm(R1, i + 1).StoreImm(R1, 10 + i).Exit();
-      image.AddProgram(b.Build());
-    }
-    threads = {{"a", 0, 0, ThreadKind::kSyscall}, {"b", 1, 0, ThreadKind::kSyscall}};
-  }
-};
-
-TEST(SupervisorTest, DeadlineExpiryAbortsAndIsNotRetried) {
+TEST(SupervisorTest, DeadlineExpiryLosesTheRun) {
   InfiniteLoop fix;
   SupervisorOptions so;
   so.max_steps = int64_t{1} << 30;  // the deadline must fire first
   so.deadline_seconds = 1e-9;
-  so.max_attempts = 3;  // deterministic sim: a slow run stays slow — no retry
   Supervisor sup(&fix.image, so);
 
   StatusOr<EnforceResult> r = sup.RunPreemption(fix.threads, {{0}, {}}, {});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
   RunBudget b = sup.budget();
-  EXPECT_EQ(b.runs, 1);
   EXPECT_EQ(b.attempts, 1);
-  EXPECT_EQ(b.retries, 0);
   EXPECT_EQ(b.completed, 0);
   EXPECT_EQ(b.exhausted, 1);
   EXPECT_EQ(b.deadline_expirations, 1);
@@ -73,7 +53,6 @@ TEST(SupervisorTest, StepBudgetExhaustionIsScoredNotLost) {
   InfiniteLoop fix;
   SupervisorOptions so;
   so.max_steps = 5000;
-  so.max_attempts = 3;
   Supervisor sup(&fix.image, so);
 
   StatusOr<EnforceResult> r = sup.RunPreemption(fix.threads, {{0}, {}}, {});
@@ -82,7 +61,7 @@ TEST(SupervisorTest, StepBudgetExhaustionIsScoredNotLost) {
   ASSERT_TRUE(r->run.failed());
   EXPECT_EQ(r->run.failure->type, FailureType::kWatchdog);
   RunBudget b = sup.budget();
-  EXPECT_EQ(b.attempts, 1);  // scored outcome — no retry
+  EXPECT_EQ(b.attempts, 1);
   EXPECT_EQ(b.completed, 1);
   EXPECT_EQ(b.exhausted, 0);
 }
@@ -116,91 +95,31 @@ TEST(SupervisorTest, WatchdogCatchesHolderDrainLivelock) {
   SupervisorOptions so;
   so.max_steps = 2000000;  // backstop only; the watchdog must fire first
   so.stall_limit = 2000;
-  so.max_attempts = 2;  // livelock is retryable (transient in a real fleet)
   Supervisor sup(&image, so);
 
   StatusOr<EnforceResult> r = sup.RunTotalOrder(threads, schedule, {});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kAborted);
   RunBudget b = sup.budget();
-  EXPECT_EQ(b.attempts, 2);
-  EXPECT_EQ(b.retries, 1);
-  EXPECT_EQ(b.watchdog_trips, 2);
+  EXPECT_EQ(b.attempts, 1);
+  EXPECT_EQ(b.watchdog_trips, 1);
   EXPECT_EQ(b.exhausted, 1);
   // The watchdog tripped at ~stall_limit steps, far below the backstop.
-  EXPECT_LT(b.steps, 2 * (so.stall_limit + 5000));
+  EXPECT_LT(b.steps, so.stall_limit + 5000);
 }
 
-TEST(SupervisorTest, RetriesUntilSuccessUnderInjectedFaults) {
-  TwoWriters fix;
-  FaultPlan plan;
-  plan.abort_run = 500;  // 50% of attempts are lost
-  plan.abort_at_step = 2;
-  // Pick a seed where attempt 0 aborts but attempt 1 survives, so the test
-  // deterministically exercises exactly one retry.
-  uint64_t seed = 0;
-  for (; seed < 10000; ++seed) {
-    plan.seed = seed;
-    FaultInjector first(plan, FaultNonce(0, 0));
-    FaultInjector second(plan, FaultNonce(0, 1));
-    if (first.will_abort() && !second.will_abort()) {
-      break;
-    }
-  }
-  ASSERT_LT(seed, 10000u);
-  plan.seed = seed;
-
+TEST(SupervisorTest, BudgetAccumulatesAcrossRuns) {
+  InfiniteLoop fix;
   SupervisorOptions so;
-  so.max_attempts = 4;
-  so.faults = plan;
-  Supervisor sup(&fix.image, so);
-
-  StatusOr<EnforceResult> r = sup.RunPreemption(fix.threads, {{0, 1}, {}}, {});
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->status.ok());
-  EXPECT_TRUE(r->run.all_exited);
-  RunBudget b = sup.budget();
-  EXPECT_EQ(b.attempts, 2);
-  EXPECT_EQ(b.retries, 1);
-  EXPECT_EQ(b.completed, 1);
-  EXPECT_EQ(b.exhausted, 0);
-  EXPECT_GE(b.injected_faults, 1);
-}
-
-TEST(SupervisorTest, ExhaustsAttemptsWhenEveryRunIsLost) {
-  TwoWriters fix;
-  FaultPlan plan;
-  plan.seed = 9;
-  plan.abort_run = 1000;  // every attempt aborts
-  plan.abort_at_step = 1;
-
-  SupervisorOptions so;
-  so.max_attempts = 3;
-  so.faults = plan;
-  Supervisor sup(&fix.image, so);
-
-  StatusOr<EnforceResult> r = sup.RunPreemption(fix.threads, {{0, 1}, {}}, {});
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
-  RunBudget b = sup.budget();
-  EXPECT_EQ(b.attempts, 3);
-  EXPECT_EQ(b.retries, 2);
-  EXPECT_EQ(b.completed, 0);
-  EXPECT_EQ(b.exhausted, 1);
-}
-
-TEST(SupervisorTest, BudgetMergesAcrossRuns) {
-  TwoWriters fix;
-  SupervisorOptions so;
+  so.max_steps = 100;  // each run is scored at its step budget
   Supervisor sup(&fix.image, so);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(sup.RunPreemption(fix.threads, {{0, 1}, {}}, {}, i).ok());
+    ASSERT_TRUE(sup.RunPreemption(fix.threads, {{0}, {}}, {}).ok());
   }
   RunBudget b = sup.budget();
-  EXPECT_EQ(b.runs, 3);
   EXPECT_EQ(b.attempts, 3);
   EXPECT_EQ(b.completed, 3);
-  EXPECT_GT(b.steps, 0);
+  EXPECT_EQ(b.steps, 300);
   EXPECT_FALSE(b.ToString().empty());
 }
 
@@ -209,26 +128,27 @@ TEST(SupervisorTest, BudgetMergesAcrossRuns) {
 TEST(SupervisorReportTest, InconclusiveFlipTestsReachTheRenderedReport) {
   BugScenario s = MakeScenario("fig-1");
   AitiaOptions options;
-  options.causality.supervisor.faults.seed = 1;
-  options.causality.supervisor.faults.abort_run = 1000;  // kill every flip run
-  options.causality.supervisor.faults.abort_at_step = 1;
-  // max_attempts stays 1: no retry can rescue a flip test.
+  // Cancel every flip run before it starts; the search is not cancelled.
+  options.causality.supervisor.cancel = [] { return true; };
 
   AitiaReport report = DiagnoseScenario(s, options);
-  ASSERT_TRUE(report.diagnosed);  // LIFS (unfaulted) still reproduces
+  ASSERT_TRUE(report.diagnosed);  // LIFS still reproduces
   EXPECT_TRUE(report.degraded);
   ASSERT_FALSE(report.causality.tested.empty());
   // Budget exhaustion must never fabricate a verdict: every flip test is
   // kInconclusive, none benign or root cause.
   for (const TestedRace& t : report.causality.tested) {
     EXPECT_EQ(t.verdict, RaceVerdict::kInconclusive);
-    EXPECT_FALSE(t.run_status.ok());
+    EXPECT_EQ(t.run_status.code(), StatusCode::kCancelled);
   }
   EXPECT_TRUE(report.causality.root_cause_indices.empty());
   EXPECT_EQ(report.causality.inconclusive_count,
             static_cast<int>(report.causality.tested.size()));
   EXPECT_EQ(report.causality.inconclusive_indices.size(), report.causality.tested.size());
-  EXPECT_GT(report.causality.budget.exhausted, 0);
+  // A run cancelled before it starts costs no enforcer execution.
+  EXPECT_EQ(report.causality.budget.attempts, 0);
+  EXPECT_EQ(report.causality.budget.exhausted,
+            static_cast<int64_t>(report.causality.tested.size()));
 
   std::string rendered = report.Render(*s.image);
   EXPECT_NE(rendered.find("DEGRADED"), std::string::npos);
@@ -236,28 +156,20 @@ TEST(SupervisorReportTest, InconclusiveFlipTestsReachTheRenderedReport) {
   EXPECT_NE(rendered.find("run budget exhausted"), std::string::npos);
 }
 
-TEST(SupervisorReportTest, RetriesRescueAFaultedDiagnosis) {
+TEST(SupervisorReportTest, LostSearchRunsDegradeTheReport) {
   BugScenario s = MakeScenario("fig-1");
   AitiaOptions options;
-  options.causality.supervisor.faults.seed = 7;
-  options.causality.supervisor.faults.abort_run = 300;  // 30% of attempts lost
-  options.causality.supervisor.max_attempts = 8;
+  options.lifs.supervisor.deadline_seconds = 1e-9;  // every search run expires
+  options.lifs.max_schedules = 4;
 
   AitiaReport report = DiagnoseScenario(s, options);
-  // With 8 attempts per flip test, p(all lost) = 0.3^8 — every test recovers.
-  ASSERT_TRUE(report.diagnosed);
-  EXPECT_FALSE(report.degraded);
-  EXPECT_EQ(report.causality.inconclusive_count, 0);
-  EXPECT_FALSE(report.causality.root_cause_indices.empty());
-  EXPECT_GE(report.causality.budget.attempts, report.causality.budget.runs);
-  EXPECT_EQ(report.causality.budget.exhausted, 0);
-
-  // Same verdicts as the unfaulted diagnosis: retries absorb the faults.
-  AitiaReport clean = DiagnoseScenario(s);
-  ASSERT_EQ(report.causality.tested.size(), clean.causality.tested.size());
-  for (size_t i = 0; i < clean.causality.tested.size(); ++i) {
-    EXPECT_EQ(report.causality.tested[i].verdict, clean.causality.tested[i].verdict);
-  }
+  EXPECT_FALSE(report.diagnosed);
+  EXPECT_TRUE(report.degraded);
+  // Lost runs are skipped, never learned from: each one is a deadline
+  // expiry the budget accounts for.
+  EXPECT_GT(report.lifs.aborted_runs, 0);
+  EXPECT_EQ(report.lifs.aborted_runs, report.lifs.budget.exhausted);
+  EXPECT_EQ(report.lifs.aborted_runs, report.lifs.budget.deadline_expirations);
 }
 
 }  // namespace

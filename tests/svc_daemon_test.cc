@@ -161,30 +161,6 @@ TEST(DaemonTest, OversizedRequestRejectedBeforeParsing) {
   EXPECT_EQ(Field(doc, "status"), "invalid_argument");
 }
 
-TEST(DaemonTest, FaultSeededRunDegradesRequestNotDaemon) {
-  DaemonOptions options = SmallOptions();
-  options.cache_capacity = 0;
-  options.faults.seed = 17;
-  options.faults.abort_run = 1000;   // every run is doomed...
-  options.faults.abort_at_step = 1;  // ...and dies immediately, not at a drawn
-                                     // step the short fig-1 runs never reach
-  options.fault_max_attempts = 2;
-  Daemon chaos(options);
-  const JsonValue doc =
-      Parse(chaos.HandleLine(R"({"verb":"diagnose","id":"f1","scenario":"fig-1"})"));
-  EXPECT_EQ(Field(doc, "status"), "degraded");
-  ASSERT_NE(doc.Find("report"), nullptr);  // partial report, not an error
-  // The daemon survives its own chaos: next request still answers.
-  const JsonValue again =
-      Parse(chaos.HandleLine(R"({"verb":"ping","id":"f2"})"));
-  EXPECT_EQ(Field(again, "status"), "ok");
-  // And a clean daemon is unaffected by another instance's fault plan.
-  Daemon clean(SmallOptions());
-  const JsonValue ok =
-      Parse(clean.HandleLine(R"({"verb":"diagnose","id":"f3","scenario":"fig-1"})"));
-  EXPECT_EQ(Field(ok, "status"), "ok");
-}
-
 TEST(DaemonTest, TinyDeadlineDegradesInsteadOfHanging) {
   DaemonOptions options = SmallOptions();
   options.cache_capacity = 0;
@@ -303,9 +279,11 @@ TEST(DaemonTest, HardDrainCancelsHeldWork) {
   daemon.Drain();  // must not take anywhere near 5s (ctest timeout enforces)
   const JsonValue doc = Parse(held.Wait());
   EXPECT_EQ(Field(doc, "id"), "h");
-  // The held request was cancelled mid-flight: degraded, never lost.
-  const std::string status = Field(doc, "status");
-  EXPECT_TRUE(status == "degraded" || status == "ok") << status;
+  // The hold ends only once the hard drain is armed, so the cancel probe
+  // fires as the diagnosis starts: degraded with a partial report, never
+  // lost.
+  EXPECT_EQ(Field(doc, "status"), "degraded");
+  EXPECT_NE(doc.Find("report"), nullptr);
 }
 
 TEST(DaemonTest, VerbsPingMetricsShutdown) {
