@@ -35,9 +35,13 @@ AitiaOptions& AitiaOptions::set_event_scope(uint64_t scope) {
 std::string AitiaReport::Render(const KernelImage& image) const {
   std::string out;
   if (!diagnosed) {
-    out += "AITIA: failure NOT reproduced";
+    out += lifs.reproduced ? "AITIA: failure reproduced but NOT diagnosed"
+                           : "AITIA: failure NOT reproduced";
     out += StrFormat(" (%zu slice(s) tried, %lld schedules)\n", slices_tried,
                      static_cast<long long>(lifs.schedules_executed));
+    if (lifs.reproduced) {
+      out += "failure    : " + lifs.failure->ToString() + "\n";
+    }
     if (!status.ok()) {
       out += "status     : " + status.ToString() + "\n";
     }
@@ -104,6 +108,16 @@ void FinalizeReport(AitiaReport& report) {
   if (!report.lifs.status.ok()) {
     report.status = report.lifs.status;
     report.degraded = true;
+  }
+  // The root cause is a chain of race orders (§3). A failure that reproduced
+  // and whose every flip test settled, yet no flip prevents it (a thread
+  // deadlocking on itself, a refcount underflow in one thread), needs no
+  // race: it is not a diagnosed concurrency failure.
+  if (report.diagnosed && !report.causality.degraded &&
+      report.causality.chain.nodes().empty()) {
+    report.diagnosed = false;
+    report.degraded = false;
+    report.status = Status::FailedPrecondition("no race flip prevents the failure");
   }
 }
 

@@ -61,7 +61,9 @@ struct AitiaReport {
   // Pipeline-level health; non-ok explains a false `diagnosed` that was due
   // to budget/deadline exhaustion rather than genuine non-reproduction.
   // kInvalidArgument means the scenario itself cannot run (its setup phase
-  // faulted or outran its step budget).
+  // faulted or outran its step budget). kFailedPrecondition means the
+  // failure reproduced but no race flip prevents it (an empty chain), so
+  // there is no concurrency failure to diagnose.
   Status status;
   size_t slices_tried = 0;
   Slice used_slice;

@@ -209,12 +209,14 @@ std::string ResultResponse(const std::string& id, const std::string& scenario_id
 }
 
 // Maps a finished pipeline report to the protocol's terminal status word.
-// "not_reproduced" is reserved for *clean* non-reproduction: a search that
-// lost runs to deadlines, cancellation or the watchdog reads as "degraded"
-// even when it found nothing, so callers never mistake a cut-short search
-// for a verdict.
+// "not_reproduced" is reserved for *clean* non-diagnosis: a search that lost
+// runs to deadlines, cancellation or the watchdog reads as "degraded" even
+// when it found nothing, so callers never mistake a cut-short search for a
+// verdict. Every path that cuts a diagnosis short sets `degraded` next to
+// `status`, so a non-ok status alone — a failure that reproduced but that no
+// race flip prevents — still reads as "not_reproduced".
 const char* StatusWord(const AitiaReport& report) {
-  if (report.degraded || !report.status.ok()) {
+  if (report.degraded) {
     return "degraded";
   }
   return report.diagnosed ? "ok" : "not_reproduced";

@@ -31,6 +31,7 @@
 //   - target queue shard full                       -> "overloaded" (+ retry_after_ms)
 //   - drain in progress                             -> "draining"
 //   - pipeline Status failure / watchdog / deadline -> "degraded" (partial report)
+//   - failure needs no race (empty chain)           -> "not_reproduced"
 //   - anything thrown past the request boundary     -> "internal"
 // The daemon itself survives all of the above; only the request degrades.
 

@@ -22,7 +22,7 @@ enum class StatusCode {
   kResourceExhausted,   // step / schedule budget spent
   kAborted,             // watchdog detected a livelocked schedule
   kUnavailable,         // I/O or socket failure (no run produces it)
-  kFailedPrecondition,  // the request could not be attempted at all
+  kFailedPrecondition,  // the input has no concurrency failure to diagnose
   kInternal,            // invariant violation inside the pipeline
   kInvalidArgument,     // malformed input (trace parse / semantic errors)
   kNotFound,            // named entity (scenario, file) does not exist
