@@ -454,16 +454,22 @@ void Daemon::HandleDiagnose(const JsonValue& doc, const std::string& id,
   }
 
   const WorkQueue::Push push = queue_->TryPush(job->fingerprint, [this, job, respond] {
+    std::string error;
     try {
       RunDiagnose(*job, respond);
+      return;
     } catch (const std::exception& e) {
-      Metrics::Get().errors_internal->Increment();
-      respond->Send(
-          ErrorResponse(job->id, "internal", StrFormat("diagnosis failed: %s", e.what())));
+      error = StrFormat("diagnosis failed: %s", e.what());
     } catch (...) {
-      Metrics::Get().errors_internal->Increment();
-      respond->Send(ErrorResponse(job->id, "internal", "diagnosis failed: unknown exception"));
+      error = "diagnosis failed: unknown exception";
     }
+    Metrics::Get().errors_internal->Increment();
+    // Frames strictly before the terminal here too: a transport may free its
+    // connection once the terminal is written.
+    if (job->relay != nullptr) {
+      job->relay->Finish();
+    }
+    respond->Send(ErrorResponse(job->id, "internal", error));
   });
   switch (push) {
     case WorkQueue::Push::kAccepted: {

@@ -14,6 +14,9 @@
 //     not the worker it runs on;
 //   - crash-isolated requests: malformed input, unknown ids, and pipeline
 //     failures become structured error responses while the daemon serves on;
+//   - finished connections are reaped on the next accept, and a client the
+//     daemon cannot give a thread is shed as "overloaded", so connection
+//     churn never grows the process;
 //   - graceful drain on SIGTERM/SIGINT (or the "shutdown" verb): stop
 //     admitting, finish or deadline-out in-flight work, flush metrics,
 //     exit 0.
@@ -109,12 +112,15 @@ int Usage(FILE* to) {
 }
 
 // One client connection: a reader thread that admits every received line and
-// a shared writer guarded by a mutex (responses complete out of order).
+// a shared writer guarded by a mutex (responses complete out of order). Only
+// the accept thread closes `fd`, after joining the reader, so the number
+// never names another socket while this connection is listed.
 struct Connection {
   int fd = -1;
   std::thread reader;
   std::mutex write_mu;
   std::atomic<int64_t> pending{0};  // admitted requests awaiting a response
+  std::atomic<bool> done{false};    // reader returned; ready to be reaped
 
   void WriteLine(const std::string& line) {
     std::lock_guard<std::mutex> lock(write_mu);
@@ -137,9 +143,22 @@ struct Connection {
 struct ServerState {
   svc::Daemon* daemon = nullptr;
   size_t max_line = 1 << 20;
-  std::mutex conns_mu;
+  // Touched by the accept thread only.
   std::vector<std::unique_ptr<Connection>> conns;
 };
+
+// Joins and closes every connection whose reader has finished.
+void ReapFinished(std::vector<std::unique_ptr<Connection>>& conns) {
+  for (auto it = conns.begin(); it != conns.end();) {
+    if ((*it)->done.load(std::memory_order_acquire)) {
+      (*it)->reader.join();
+      close((*it)->fd);
+      it = conns.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
 
 void ServeConnection(ServerState* state, Connection* conn) {
   std::string buffer;
@@ -195,11 +214,11 @@ void ServeConnection(ServerState* state, Connection* conn) {
     }
   }
   // Give in-flight requests from this connection a moment to flush their
-  // responses before the fd is closed under them.
+  // responses before the accept thread reaps it and closes the fd.
   while (conn->pending.load() > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  close(conn->fd);
+  conn->done.store(true, std::memory_order_release);
 }
 
 int RunOnce(svc::Daemon& daemon) {
@@ -225,7 +244,8 @@ int RunOnce(svc::Daemon& daemon) {
   return 0;
 }
 
-int RunServer(svc::Daemon& daemon, int port, int http_port, size_t max_line) {
+int RunServer(svc::Daemon& daemon, int port, int http_port, size_t max_line,
+              int64_t retry_after_ms) {
   if (pipe(g_signal_pipe) != 0) {
     std::perror("aitiad: pipe");
     return 1;
@@ -303,16 +323,26 @@ int RunServer(svc::Daemon& daemon, int port, int http_port, size_t max_line) {
       break;
     }
     if ((fds[0].revents & POLLIN) != 0) {
+      ReapFinished(state.conns);
       const int client = accept(listen_fd, nullptr, nullptr);
       if (client < 0) {
         continue;
       }
-      auto conn = std::make_unique<Connection>();
+      // Listed before its reader starts, so no joinable thread is ever owned
+      // by a temporary.
+      Connection* conn = state.conns.emplace_back(std::make_unique<Connection>()).get();
       conn->fd = client;
-      Connection* raw = conn.get();
-      conn->reader = std::thread([&state, raw] { ServeConnection(&state, raw); });
-      std::lock_guard<std::mutex> lock(state.conns_mu);
-      state.conns.push_back(std::move(conn));
+      try {
+        conn->reader = std::thread([&state, conn] { ServeConnection(&state, conn); });
+      } catch (const std::exception&) {
+        // No thread for this client (address-space or thread limit): shed it
+        // like a full admission queue and keep serving the others.
+        conn->WriteLine(StrFormat("{\"id\":\"\",\"status\":\"overloaded\",\"error\":"
+                                  "\"no thread for this connection\",\"retry_after_ms\":%lld}",
+                                  static_cast<long long>(retry_after_ms)));
+        close(client);
+        state.conns.pop_back();
+      }
     }
   }
 
@@ -330,19 +360,12 @@ int RunServer(svc::Daemon& daemon, int port, int http_port, size_t max_line) {
   if (http != nullptr) {
     http->Stop();
   }
-  {
-    std::lock_guard<std::mutex> lock(state.conns_mu);
-    for (auto& conn : state.conns) {
-      shutdown(conn->fd, SHUT_RDWR);  // unblocks the reader threads
-    }
+  for (auto& conn : state.conns) {
+    shutdown(conn->fd, SHUT_RDWR);  // unblocks the reader threads
   }
-  {
-    std::lock_guard<std::mutex> lock(state.conns_mu);
-    for (auto& conn : state.conns) {
-      if (conn->reader.joinable()) {
-        conn->reader.join();
-      }
-    }
+  for (auto& conn : state.conns) {
+    conn->reader.join();
+    close(conn->fd);
   }
   return 0;
 }
@@ -453,8 +476,9 @@ int main(int argc, char** argv) {
   int exit_code;
   {
     svc::Daemon daemon(options);
-    exit_code =
-        once ? RunOnce(daemon) : RunServer(daemon, port, http_port, options.max_request_bytes);
+    exit_code = once ? RunOnce(daemon)
+                     : RunServer(daemon, port, http_port, options.max_request_bytes,
+                                 options.retry_after_ms);
     daemon.Drain();
   }
   if (!metrics_json_path.empty()) {
