@@ -1,13 +1,13 @@
 #!/bin/sh
-# Load/chaos acceptance test for the aitiad daemon (ISSUE 6 acceptance run).
-#
-# Replays the full 22-bug corpus from 8 concurrent clients with fault
-# injection enabled inside every diagnosis, against a deliberately small
-# admission queue. The loadgen asserts the robustness contract: the daemon
-# never dies, every request gets exactly one terminal response, floods shed
-# as 'overloaded', svc.queue_depth_peak stays within shards x capacity, and
-# svc.duplicate_responses is 0. Afterwards the daemon must still drain to
-# exit 0 on SIGTERM.
+# Load run for the aitiad daemon: replays the 28-scenario corpus from 8
+# concurrent clients against a small admission queue, with the result cache
+# off so every request loads a worker. The loadgen asserts the robustness
+# contract: the daemon never dies, every request gets exactly one terminal
+# response, floods shed as 'overloaded', svc.queue_depth_peak stays within
+# shards x capacity, and svc.duplicate_responses is 0. A second pass with a
+# 1 ms deadline must answer at least one 'degraded'. After the SIGTERM drain
+# (exit 0), the flight record must show accepted == completed and no
+# duplicate response.
 #
 # Usage: aitiad_chaos_test.sh <aitiad> <aitiad_loadgen> <workdir> [clients] [rounds]
 set -u
@@ -30,7 +30,7 @@ fail() {
 
 # Queue bound: 4 shards x 4 slots. The loadgen checks peak depth <= 16.
 "$AITIAD" --port 0 --workers 4 --queue-shards 4 --shard-capacity 4 \
-    --metrics-json "$METRICS" >"$OUT" 2>"$WORK/daemon.err" &
+    --cache-capacity 0 --metrics-json "$METRICS" >"$OUT" 2>"$WORK/daemon.err" &
 DPID=$!
 
 PORT=""
@@ -50,12 +50,34 @@ LSTATUS=$?
 cat "$WORK/loadgen.json"
 [ "$LSTATUS" -eq 0 ] || fail "loadgen contract check failed (exit $LSTATUS)"
 
-kill -0 "$DPID" 2>/dev/null || fail "daemon died during the chaos run"
+"$LOADGEN" --port "$PORT" --clients "$CLIENTS" --rounds "$ROUNDS" --deadline-ms 1 \
+    --expect-bounded-queue 16 --timeout 150 >"$WORK/loadgen_deadline.json"
+LSTATUS=$?
+cat "$WORK/loadgen_deadline.json"
+[ "$LSTATUS" -eq 0 ] || fail "1 ms deadline pass: loadgen contract check failed (exit $LSTATUS)"
+DEGRADED=$(sed -n 's/.*"degraded":\([0-9]*\).*/\1/p' "$WORK/loadgen_deadline.json")
+[ -n "$DEGRADED" ] && [ "$DEGRADED" -gt 0 ] \
+    || fail "1 ms deadline pass answered no 'degraded' (degraded=${DEGRADED:-missing})"
+
+kill -0 "$DPID" 2>/dev/null || fail "daemon died during the load run"
 kill -TERM "$DPID"
 wait "$DPID"
 DSTATUS=$?
 [ "$DSTATUS" -eq 0 ] || fail "daemon exited $DSTATUS after SIGTERM (want 0)"
 [ -s "$METRICS" ] || fail "metrics flight record missing or empty"
 
-echo "PASS: chaos run survived; summary in $WORK/loadgen.json"
+# Same books check as aitiad_drain_test.sh: svc sorts last in the snapshot,
+# so its section is the tail after '"svc": '.
+SVC=$(sed -n 's/.*"svc": //p' "$METRICS")
+[ -n "$SVC" ] || fail "metrics record lacks the svc section"
+echo "$SVC" | grep -q '"duplicate_responses": 0' \
+    || fail "duplicate responses recorded during the load run"
+ACCEPTED=$(echo "$SVC" | sed -n 's/.*"accepted": \([0-9]*\).*/\1/p')
+COMPLETED=$(echo "$SVC" | sed -n 's/.*"completed": \([0-9]*\).*/\1/p')
+[ -n "$ACCEPTED" ] && [ -n "$COMPLETED" ] || fail "accepted/completed counters missing"
+[ "$ACCEPTED" -eq "$COMPLETED" ] \
+    || fail "load run lost work: accepted=$ACCEPTED completed=$COMPLETED"
+
+echo "PASS: load run survived; accepted=$ACCEPTED completed=$COMPLETED degraded=$DEGRADED;" \
+    "summaries in $WORK/loadgen.json and $WORK/loadgen_deadline.json"
 exit 0
