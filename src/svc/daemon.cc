@@ -222,6 +222,12 @@ const char* StatusWord(const AitiaReport& report) {
   return report.diagnosed ? "ok" : "not_reproduced";
 }
 
+// Per-request wall-clock budget when the request sets none, and the ceilings
+// admission clamps client-supplied deadline_ms and hold_ms to.
+constexpr int64_t kDefaultDeadlineMs = 20000;
+constexpr int64_t kMaxDeadlineMs = 120000;
+constexpr int64_t kMaxHoldMs = 10000;
+
 }  // namespace
 
 // --- request payload --------------------------------------------------------
@@ -242,12 +248,9 @@ struct DiagnoseJob {
 // --- daemon -----------------------------------------------------------------
 
 Daemon::Daemon(DaemonOptions options)
-    : options_(std::move(options)), cache_(options_.cache_capacity) {
-  WorkQueue::Options qo;
-  qo.workers = options_.workers == 0 ? 1 : options_.workers;
-  qo.shards = options_.queue_shards;
-  qo.shard_capacity = options_.shard_capacity;
-  queue_ = std::make_unique<WorkQueue>(qo);
+    : options_(std::move(options)),
+      cache_(options_.cache_capacity),
+      pool_(options_.workers == 0 ? 1 : options_.workers, kQueueCapacity) {
   Metrics::Get().draining->Set(0);
 }
 
@@ -299,12 +302,11 @@ void Daemon::SubmitImpl(std::string line, const std::shared_ptr<OnceResponder>& 
   const Metrics& m = Metrics::Get();
   m.requests->Increment();
 
-  if (line.size() > options_.max_request_bytes) {
+  if (line.size() > kMaxRequestBytes) {
     m.errors_invalid->Increment();
     respond->Send(ErrorResponse(
         "", "invalid_argument",
-        StrFormat("request of %zu bytes exceeds limit %zu", line.size(),
-                  options_.max_request_bytes)));
+        StrFormat("request of %zu bytes exceeds limit %zu", line.size(), kMaxRequestBytes)));
     return;
   }
   StatusOr<JsonValue> parsed = ParseJson(line);
@@ -417,10 +419,10 @@ void Daemon::HandleDiagnose(const JsonValue& doc, const std::string& id,
 
   auto clamp = [](int64_t v, int64_t lo, int64_t hi) { return v < lo ? lo : (v > hi ? hi : v); };
   job->deadline_ms = clamp(
-      doc.Find("deadline_ms") != nullptr ? doc.Find("deadline_ms")->AsInt() : options_.default_deadline_ms,
-      1, options_.max_deadline_ms);
+      doc.Find("deadline_ms") != nullptr ? doc.Find("deadline_ms")->AsInt() : kDefaultDeadlineMs,
+      1, kMaxDeadlineMs);
   job->hold_ms =
-      clamp(doc.Find("hold_ms") != nullptr ? doc.Find("hold_ms")->AsInt() : 0, 0, options_.max_hold_ms);
+      clamp(doc.Find("hold_ms") != nullptr ? doc.Find("hold_ms")->AsInt() : 0, 0, kMaxHoldMs);
   const bool no_cache = doc.Find("no_cache") != nullptr && doc.Find("no_cache")->AsBool();
   job->sarif = doc.Find("sarif") != nullptr && doc.Find("sarif")->AsBool();
   // SARIF requests bypass the cache: the log is built from the in-memory
@@ -435,7 +437,7 @@ void Daemon::HandleDiagnose(const JsonValue& doc, const std::string& id,
   if (stream != nullptr && doc.Find("stream") != nullptr && doc.Find("stream")->AsBool()) {
     job->relay = std::make_shared<StreamRelay>(id, stream);
     job->relay->Publish(obs::DiagPhase::kQueued, "svc.queued", job->scenario.id,
-                        {{"queue_depth", static_cast<int64_t>(queue_->depth())}});
+                        {{"queue_depth", static_cast<int64_t>(pool_.pending())}});
   }
 
   if (job->cacheable) {
@@ -453,7 +455,7 @@ void Daemon::HandleDiagnose(const JsonValue& doc, const std::string& id,
     m.cache_misses->Increment();
   }
 
-  const WorkQueue::Push push = queue_->TryPush(job->fingerprint, [this, job, respond] {
+  const bool accepted = pool_.Submit([this, job, respond] {
     std::string error;
     try {
       RunDiagnose(*job, respond);
@@ -471,43 +473,39 @@ void Daemon::HandleDiagnose(const JsonValue& doc, const std::string& id,
     }
     respond->Send(ErrorResponse(job->id, "internal", error));
   });
-  switch (push) {
-    case WorkQueue::Push::kAccepted: {
-      m.accepted->Increment();
-      const int64_t depth = static_cast<int64_t>(queue_->depth());
-      m.queue_depth->Set(depth);
-      m.queue_depth_peak->SetMax(depth);
-      return;
-    }
-    case WorkQueue::Push::kOverloaded:
-      m.rejected_overloaded->Increment();
-      if (job->relay != nullptr) {
-        job->relay->Finish();  // flush the queued frame before the terminal
-      }
-      respond->Send(ErrorResponse(
-          id, "overloaded", "admission queue full; retry later",
-          StrFormat(",\"retry_after_ms\":%lld",
-                    static_cast<long long>(options_.retry_after_ms))));
-      return;
-    case WorkQueue::Push::kShutdown:
-      m.rejected_draining->Increment();
-      if (job->relay != nullptr) {
-        job->relay->Finish();
-      }
-      respond->Send(ErrorResponse(id, "draining", "daemon is draining; not admitting requests"));
-      return;
+  if (accepted) {
+    m.accepted->Increment();
+    const int64_t depth = static_cast<int64_t>(pool_.pending());
+    m.queue_depth->Set(depth);
+    m.queue_depth_peak->SetMax(depth);
+    return;
   }
+  // Refused without running: the drain shut the pool down, or every slot is
+  // taken.
+  if (job->relay != nullptr) {
+    job->relay->Finish();  // flush the queued frame before the terminal
+  }
+  if (draining()) {
+    m.rejected_draining->Increment();
+    respond->Send(ErrorResponse(id, "draining", "daemon is draining; not admitting requests"));
+    return;
+  }
+  m.rejected_overloaded->Increment();
+  respond->Send(ErrorResponse(
+      id, "overloaded", "admission queue full; retry later",
+      StrFormat(",\"retry_after_ms\":%lld", static_cast<long long>(kRetryAfterMs))));
 }
 
 void Daemon::RunDiagnose(const DiagnoseJob& job, const std::shared_ptr<OnceResponder>& respond) {
   const Metrics& m = Metrics::Get();
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
   m.in_flight->Add(1);
-  m.queue_depth->Set(static_cast<int64_t>(queue_->depth()));
+  const int64_t depth = static_cast<int64_t>(pool_.pending());
+  m.queue_depth->Set(depth);
 
   if (job.relay != nullptr) {
     job.relay->Publish(obs::DiagPhase::kStarted, "svc.started", job.scenario.id,
-                       {{"queue_depth", static_cast<int64_t>(queue_->depth())}});
+                       {{"queue_depth", depth}});
   }
 
   // Load hook: an artificial pre-diagnosis delay, so drivers can pin a
@@ -573,7 +571,7 @@ void Daemon::RunDiagnose(const DiagnoseJob& job, const std::shared_ptr<OnceRespo
 void Daemon::BeginDrain() {
   if (!draining_.exchange(true, std::memory_order_acq_rel)) {
     Metrics::Get().draining->Set(1);
-    AITIA_LOG(kInfo) << "aitiad: drain started (queue=" << queue_->depth()
+    AITIA_LOG(kInfo) << "aitiad: drain started (queue=" << pool_.pending()
                      << " in_flight=" << in_flight() << ")";
   }
 }
@@ -587,17 +585,18 @@ void Daemon::Drain() {
   // grace period, then arm the hard cancel probe: supervised runs return
   // kCancelled within a simulator step and the pipeline degrades out.
   Stopwatch grace;
-  while ((queue_->depth() > 0 || in_flight() > 0) &&
+  while ((pool_.pending() > 0 || in_flight() > 0) &&
          grace.ElapsedMillis() < static_cast<double>(options_.drain_grace_ms)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  if (queue_->depth() > 0 || in_flight() > 0) {
+  if (pool_.pending() > 0 || in_flight() > 0) {
     AITIA_LOG(kWarn) << "aitiad: drain grace expired; cancelling in-flight work";
     drain_hard_.store(true, std::memory_order_release);
   }
   // Authoritative completion barrier: every accepted task has fully run (and
-  // responded) once this returns.
-  queue_->Drain();
+  // responded) once this returns. Submit checks the shutdown flag under the
+  // lock it pushes under, so no task can be accepted after this point.
+  pool_.Shutdown();
   Metrics::Get().queue_depth->Set(0);
   AITIA_LOG(kInfo) << "aitiad: drain complete";
 }
@@ -619,7 +618,7 @@ std::string Daemon::StatusJson() const {
       "{\"uptime_seconds\":%.3f,\"draining\":%s,\"queue_depth\":%zu,"
       "\"queue_depth_peak\":%lld,\"in_flight\":%lld,\"accepted\":%lld,"
       "\"completed\":%lld,\"cache_hit_rate\":%.4f,\"stream_frames\":%lld}",
-      uptime_.ElapsedSeconds(), draining() ? "true" : "false", queue_->depth(),
+      uptime_.ElapsedSeconds(), draining() ? "true" : "false", pool_.pending(),
       static_cast<long long>(gauge("svc.queue_depth_peak")),
       static_cast<long long>(in_flight()),
       static_cast<long long>(snap.counter("svc.accepted")),

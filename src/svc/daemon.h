@@ -28,7 +28,7 @@
 //   - unknown corpus id                             -> "not_found"
 //   - malformed .ait text                           -> "invalid_argument"
 //   - setup phase faults or outruns its step budget -> "invalid_argument"
-//   - target queue shard full                       -> "overloaded" (+ retry_after_ms)
+//   - admission queue full                          -> "overloaded" (+ retry_after_ms)
 //   - drain in progress                             -> "draining"
 //   - pipeline Status failure / watchdog / deadline -> "degraded" (partial report)
 //   - failure needs no race (empty chain)           -> "not_reproduced"
@@ -45,29 +45,24 @@
 #include <string>
 
 #include "src/svc/cache.h"
-#include "src/svc/work_queue.h"
 #include "src/util/stopwatch.h"
+#include "src/util/thread_pool.h"
 
 namespace aitia {
 namespace svc {
 
+// Admission bounds. A diagnosis that finds all kQueueCapacity slots taken
+// is refused at once as "overloaded" with a kRetryAfterMs hint; a request
+// line longer than kMaxRequestBytes is refused before parsing.
+inline constexpr size_t kQueueCapacity = 32;
+inline constexpr size_t kMaxRequestBytes = 1 << 20;
+inline constexpr int64_t kRetryAfterMs = 50;
+
 struct DaemonOptions {
   // Diagnosis worker threads (requests running concurrently).
   size_t workers = 2;
-  // Admission queue geometry: total queued bound = shards × shard_capacity.
-  size_t queue_shards = 4;
-  size_t shard_capacity = 8;
   // Result-cache entries; 0 disables caching.
   size_t cache_capacity = 128;
-  // Per-request wall-clock budget when the request does not set its own.
-  int64_t default_deadline_ms = 20000;
-  // Ceiling on client-supplied deadline_ms and hold_ms (admission clamps).
-  int64_t max_deadline_ms = 120000;
-  int64_t max_hold_ms = 10000;
-  // Hint returned with "overloaded" rejections.
-  int64_t retry_after_ms = 50;
-  // Requests larger than this are rejected before parsing.
-  size_t max_request_bytes = 1 << 20;
   // How long Drain() lets in-flight work finish before arming the hard
   // cancel probe that deadlines it out.
   int64_t drain_grace_ms = 5000;
@@ -116,7 +111,7 @@ class Daemon {
     return shutdown_requested_.load(std::memory_order_acquire);
   }
 
-  size_t queue_depth() const { return queue_->depth(); }
+  size_t queue_depth() const { return pool_.pending(); }
   int64_t in_flight() const { return in_flight_.load(std::memory_order_acquire); }
 
   // Current process-wide metrics snapshot as JSON (the --metrics-json dump).
@@ -147,7 +142,10 @@ class Daemon {
   std::atomic<uint64_t> request_seq_{0};
   Stopwatch uptime_;  // construction time; /statusz uptime
   ResultCache cache_;
-  std::unique_ptr<WorkQueue> queue_;
+  // The admission queue: kQueueCapacity pending diagnoses in front of the
+  // workers. Declared last, so the workers are joined before anything they
+  // touch is destroyed.
+  ThreadPool pool_;
 };
 
 }  // namespace svc

@@ -23,6 +23,8 @@ namespace {
 // Request line + headers larger than this are rejected; scrape requests are
 // a few hundred bytes.
 constexpr size_t kMaxRequestBytes = 4096;
+// Socket receive timeout while reading a request (2 s).
+constexpr timeval kReadTimeout = {2, 0};
 
 void SendAll(int fd, const std::string& data) {
   size_t off = 0;
@@ -131,10 +133,7 @@ void HttpServer::Serve() {
     // Requests are handled inline on the accept thread: bodies are built
     // from in-memory snapshots in microseconds, and the read timeout bounds
     // how long a stalled scraper can hold the loop.
-    timeval tv = {};
-    tv.tv_sec = options_.read_timeout_ms / 1000;
-    tv.tv_usec = static_cast<suseconds_t>((options_.read_timeout_ms % 1000) * 1000);
-    setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &kReadTimeout, sizeof kReadTimeout);
     HandleConnection(client);
     close(client);
   }

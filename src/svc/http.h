@@ -36,8 +36,6 @@ struct HttpServerOptions {
   std::function<std::string()> statusz;  // application/json
   // True while the process is healthy; null means "always ok".
   std::function<bool()> healthy;
-  // Socket receive timeout while reading a request, milliseconds.
-  int64_t read_timeout_ms = 2000;
 };
 
 class HttpServer {

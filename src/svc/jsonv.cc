@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "src/util/strings.h"
 
@@ -11,7 +12,16 @@ namespace svc {
 int64_t JsonValue::AsInt(int64_t def) const {
   switch (kind_) {
     case Kind::kInt: return int_;
-    case Kind::kDouble: return static_cast<int64_t>(double_);
+    case Kind::kDouble:
+      // Saturate: converting a double outside int64_t's range is undefined,
+      // and clients send numbers like 1e300. 2^63 is exact in a double.
+      if (double_ >= 0x1p63) {
+        return std::numeric_limits<int64_t>::max();
+      }
+      if (double_ < -0x1p63) {
+        return std::numeric_limits<int64_t>::min();
+      }
+      return static_cast<int64_t>(double_);
     default: return def;
   }
 }

@@ -30,7 +30,8 @@ class JsonValue {
   bool is_string() const { return kind_ == Kind::kString; }
 
   // Typed readers with defaults; wrong-kind reads return the default rather
-  // than aborting (the daemon validates kinds where it matters).
+  // than aborting (the daemon validates kinds where it matters). AsInt
+  // truncates a double toward zero and saturates outside int64_t's range.
   bool AsBool(bool def = false) const { return kind_ == Kind::kBool ? bool_ : def; }
   int64_t AsInt(int64_t def = 0) const;
   double AsDouble(double def = 0) const;

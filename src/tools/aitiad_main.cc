@@ -8,8 +8,9 @@
 //   $ printf '%s\n' '{"verb":"diagnose","scenario":"fig-1"}' | aitiad --once
 //
 // Robustness story (the point of this binary):
-//   - bounded sharded admission queue: floods get immediate "overloaded"
-//     rejections with a retry_after_ms hint, never unbounded memory;
+//   - one bounded admission queue (svc::kQueueCapacity slots): a diagnosis
+//     that finds it full gets an immediate "overloaded" rejection with a
+//     retry_after_ms hint, never unbounded memory;
 //   - per-request deadlines: a pathological scenario degrades *itself*,
 //     not the worker it runs on;
 //   - crash-isolated requests: malformed input, unknown ids, and pipeline
@@ -17,6 +18,9 @@
 //   - finished connections are reaped on the next accept, and a client the
 //     daemon cannot give a thread is shed as "overloaded", so connection
 //     churn never grows the process;
+//   - a client that stops reading loses its connection after a bounded send
+//     wait instead of holding a worker, and a full descriptor table makes
+//     the accept loop back off instead of spinning;
 //   - graceful drain on SIGTERM/SIGINT (or the "shutdown" verb): stop
 //     admitting, finish or deadline-out in-flight work, flush metrics,
 //     exit 0.
@@ -28,6 +32,7 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -76,15 +81,20 @@ void FlushMetricsJson() {
 
 // Signal handling: the handler only writes one byte to a self-pipe; the
 // accept loop polls it alongside the listen socket, so a SIGTERM mid-accept
-// wakes the drain path without any async-signal-unsafe work.
+// wakes the drain path without any async-signal-unsafe work. The "shutdown"
+// verb writes the same byte.
 int g_signal_pipe[2] = {-1, -1};
 std::atomic<int> g_signal{0};
 
-void OnSignal(int sig) {
-  g_signal.store(sig);
+void WakeAcceptLoop() {
   const char byte = 1;
   // Best-effort: if the pipe is full a wakeup is already pending.
   (void)!write(g_signal_pipe[1], &byte, 1);
+}
+
+void OnSignal(int sig) {
+  g_signal.store(sig);
+  WakeAcceptLoop();
 }
 
 int Usage(FILE* to) {
@@ -97,12 +107,8 @@ int Usage(FILE* to) {
                "  --http-port N       HTTP scrape plane on 127.0.0.1:N (0 = ephemeral,\n"
                "                      printed on stdout): /metrics /healthz /statusz\n"
                "  --workers N         diagnosis worker threads (default 2)\n"
-               "  --queue-shards N    admission queue shards (default 4)\n"
-               "  --shard-capacity N  queued requests per shard (default 8)\n"
                "  --cache-capacity N  result-cache entries, 0 disables (default 128)\n"
-               "  --deadline-ms N     default per-request budget (default 20000)\n"
                "  --drain-grace-ms N  drain wait before cancelling in-flight work (default 5000)\n"
-               "  --retry-after-ms N  hint attached to overloaded rejections (default 50)\n"
                "  --metrics-json F    write the final metrics snapshot to F on exit\n"
                "%s"
                "\n"
@@ -110,6 +116,11 @@ int Usage(FILE* to) {
                aitia::tools::SharedFlagsHelp());
   return to == stdout ? 0 : 2;
 }
+
+// How long one send() may wait on a client that stopped reading (2 s).
+// Workers write responses, so without this bound one such client could hold
+// them all.
+constexpr timeval kSendTimeout = {2, 0};
 
 // One client connection: a reader thread that admits every received line and
 // a shared writer guarded by a mutex (responses complete out of order). Only
@@ -119,21 +130,30 @@ struct Connection {
   int fd = -1;
   std::thread reader;
   std::mutex write_mu;
+  bool dead = false;                // guarded by write_mu: a send failed
   std::atomic<int64_t> pending{0};  // admitted requests awaiting a response
   std::atomic<bool> done{false};    // reader returned; ready to be reaped
 
   void WriteLine(const std::string& line) {
     std::lock_guard<std::mutex> lock(write_mu);
+    if (dead) {
+      return;
+    }
     std::string out = line;
     out += '\n';
     size_t off = 0;
     while (off < out.size()) {
       const ssize_t n = send(fd, out.data() + off, out.size() - off, MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) {
+        continue;
+      }
       if (n <= 0) {
-        if (n < 0 && errno == EINTR) {
-          continue;
-        }
-        return;  // client went away; the response is undeliverable, drop it
+        // The client went away or stopped reading for kSendTimeout: drop
+        // this line and every later one, and end the reader so the accept
+        // thread reaps the connection.
+        dead = true;
+        shutdown(fd, SHUT_RDWR);
+        return;
       }
       off += static_cast<size_t>(n);
     }
@@ -142,7 +162,6 @@ struct Connection {
 
 struct ServerState {
   svc::Daemon* daemon = nullptr;
-  size_t max_line = 1 << 20;
   // Touched by the accept thread only.
   std::vector<std::unique_ptr<Connection>> conns;
 };
@@ -204,7 +223,7 @@ void ServeConnection(ServerState* state, Connection* conn) {
           [conn](std::string frame) { conn->WriteLine(frame); });
     }
     buffer.erase(0, start);
-    if (buffer.size() > state->max_line) {
+    if (buffer.size() > svc::kMaxRequestBytes) {
       // A line longer than the request limit: reject once, then discard
       // bytes until its terminating newline instead of buffering them.
       conn->WriteLine(
@@ -244,12 +263,7 @@ int RunOnce(svc::Daemon& daemon) {
   return 0;
 }
 
-int RunServer(svc::Daemon& daemon, int port, int http_port, size_t max_line,
-              int64_t retry_after_ms) {
-  if (pipe(g_signal_pipe) != 0) {
-    std::perror("aitiad: pipe");
-    return 1;
-  }
+int RunServer(svc::Daemon& daemon, int port, int http_port) {
   struct sigaction sa = {};
   sa.sa_handler = OnSignal;
   sigaction(SIGTERM, &sa, nullptr);
@@ -303,7 +317,6 @@ int RunServer(svc::Daemon& daemon, int port, int http_port, size_t max_line,
 
   ServerState state;
   state.daemon = &daemon;
-  state.max_line = max_line;
 
   for (;;) {
     pollfd fds[2] = {{listen_fd, POLLIN, 0}, {g_signal_pipe[0], POLLIN, 0}};
@@ -326,8 +339,15 @@ int RunServer(svc::Daemon& daemon, int port, int http_port, size_t max_line,
       ReapFinished(state.conns);
       const int client = accept(listen_fd, nullptr, nullptr);
       if (client < 0) {
+        // Out of descriptors or kernel memory: the client stays in the
+        // backlog and poll reports it again at once, so back off instead of
+        // spinning until reaping or a closing client frees a descriptor.
+        if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS || errno == ENOMEM) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(svc::kRetryAfterMs));
+        }
         continue;
       }
+      setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &kSendTimeout, sizeof kSendTimeout);
       // Listed before its reader starts, so no joinable thread is ever owned
       // by a temporary.
       Connection* conn = state.conns.emplace_back(std::make_unique<Connection>()).get();
@@ -339,7 +359,7 @@ int RunServer(svc::Daemon& daemon, int port, int http_port, size_t max_line,
         // like a full admission queue and keep serving the others.
         conn->WriteLine(StrFormat("{\"id\":\"\",\"status\":\"overloaded\",\"error\":"
                                   "\"no thread for this connection\",\"retry_after_ms\":%lld}",
-                                  static_cast<long long>(retry_after_ms)));
+                                  static_cast<long long>(svc::kRetryAfterMs)));
         close(client);
         state.conns.pop_back();
       }
@@ -423,24 +443,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--workers") {
       if (!parse_u64(need_value(i, "--workers"), value)) return Usage(stderr);
       options.workers = value;
-    } else if (arg == "--queue-shards") {
-      if (!parse_u64(need_value(i, "--queue-shards"), value)) return Usage(stderr);
-      options.queue_shards = value;
-    } else if (arg == "--shard-capacity") {
-      if (!parse_u64(need_value(i, "--shard-capacity"), value)) return Usage(stderr);
-      options.shard_capacity = value;
     } else if (arg == "--cache-capacity") {
       if (!parse_u64(need_value(i, "--cache-capacity"), value)) return Usage(stderr);
       options.cache_capacity = value;
-    } else if (arg == "--deadline-ms") {
-      if (!parse_u64(need_value(i, "--deadline-ms"), value)) return Usage(stderr);
-      options.default_deadline_ms = static_cast<int64_t>(value);
     } else if (arg == "--drain-grace-ms") {
       if (!parse_u64(need_value(i, "--drain-grace-ms"), value)) return Usage(stderr);
       options.drain_grace_ms = static_cast<int64_t>(value);
-    } else if (arg == "--retry-after-ms") {
-      if (!parse_u64(need_value(i, "--retry-after-ms"), value)) return Usage(stderr);
-      options.retry_after_ms = static_cast<int64_t>(value);
     } else if (arg == "--metrics-json") {
       const char* v = need_value(i, "--metrics-json");
       if (v == nullptr) return Usage(stderr);
@@ -473,12 +481,19 @@ int main(int argc, char** argv) {
     std::atexit(FlushMetricsJson);
   }
 
+  if (!once) {
+    // Made before the daemon, whose "shutdown" verb wakes the accept loop
+    // through it.
+    if (pipe(g_signal_pipe) != 0) {
+      std::perror("aitiad: pipe");
+      return 1;
+    }
+    options.on_shutdown_request = WakeAcceptLoop;
+  }
   int exit_code;
   {
     svc::Daemon daemon(options);
-    exit_code = once ? RunOnce(daemon)
-                     : RunServer(daemon, port, http_port, options.max_request_bytes,
-                                 options.retry_after_ms);
+    exit_code = once ? RunOnce(daemon) : RunServer(daemon, port, http_port);
     daemon.Drain();
   }
   if (!metrics_json_path.empty()) {

@@ -46,27 +46,11 @@ bool ThreadPool::Submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(mu_);
     // Reject-after-stop keeps the run/reject decision deterministic: a task
     // either lands before shutdown (and will run during the drain) or is
-    // refused here — it can never sit in the queue unexecuted.
-    if (stopping_) {
-      return false;
-    }
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  task_ready_.notify_one();
-  return true;
-}
-
-bool ThreadPool::TrySubmit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      return false;
-    }
-    // Saturation check on *pending* tasks: what a worker has already picked
-    // up is capacity in use, not queue depth. The decision happens under the
-    // same lock as the push, so the bound is exact, never approximate.
-    if (queue_limit_ > 0 && tasks_.size() >= queue_limit_) {
+    // refused here — it can never sit in the queue unexecuted. The bound
+    // counts *pending* tasks only (what a worker has picked up is capacity
+    // in use), and it is checked under the same lock as the push, so it is
+    // exact, never approximate.
+    if (stopping_ || (queue_limit_ > 0 && tasks_.size() >= queue_limit_)) {
       return false;
     }
     tasks_.push(std::move(task));

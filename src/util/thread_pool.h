@@ -1,8 +1,8 @@
 // Fixed-size worker pool that runs independent requests side by side: the
-// daemon's diagnosis workers (src/svc/work_queue.h) and aitia_sweep's
-// scenario jobs. One diagnosis always runs on one thread; enforced runs cost
-// microseconds here, so the parallelism that pays is across requests, not
-// inside one (DESIGN.md §9).
+// daemon's diagnosis workers behind its bounded admission queue
+// (src/svc/daemon.h) and aitia_sweep's scenario jobs. One diagnosis always
+// runs on one thread; enforced runs cost microseconds here, so the
+// parallelism that pays is across requests, not inside one (DESIGN.md §9).
 
 #ifndef SRC_UTIL_THREAD_POOL_H_
 #define SRC_UTIL_THREAD_POOL_H_
@@ -21,25 +21,19 @@ class ThreadPool {
  public:
   // `workers == 0` picks the hardware concurrency (at least 1).
   // `queue_limit` bounds the number of *pending* (accepted but not yet
-  // started) tasks that TrySubmit may add; 0 leaves TrySubmit unbounded.
-  // Submit ignores the limit — it exists for admission-controlled callers.
+  // started) tasks; 0 leaves the queue unbounded.
   explicit ThreadPool(size_t workers = 0, size_t queue_limit = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Enqueues a task. Tasks must not throw. Returns true if the task was
-  // accepted; returns false — deterministically, without running the task —
-  // once shutdown has begun. Every accepted task is guaranteed to run.
+  // Enqueues a task without blocking. Tasks must not throw. Returns true if
+  // the task was accepted, and every accepted task is guaranteed to run.
+  // Returns false — deterministically, without running the task — once
+  // shutdown has begun or while `queue_limit` tasks are pending, so a flood
+  // costs one mutex acquisition per refusal, never unbounded memory.
   bool Submit(std::function<void()> task);
-
-  // Non-blocking, admission-controlled Submit: additionally rejects when the
-  // pool is saturated (`queue_limit` pending tasks are already waiting for a
-  // worker). Same acceptance guarantee — true means the task will run, false
-  // means it never will. This is the primitive load-shedding layers build
-  // on: a rejected task costs one mutex acquisition, never unbounded memory.
-  bool TrySubmit(std::function<void()> task);
 
   // Stops accepting new tasks, runs everything already accepted, and joins
   // the workers. Idempotent; called by the destructor. After Shutdown,
@@ -51,10 +45,10 @@ class ThreadPool {
 
   size_t worker_count() const { return threads_.size(); }
 
-  // Pending (accepted, not yet started) tasks. Inherently racy — a worker
-  // may dequeue concurrently — so only meaningful to tests that control the
-  // workers, hence the name.
-  size_t QueueDepthForTest() {
+  // Pending (accepted, not yet started) tasks; never more than `queue_limit`
+  // when one is set. A worker may dequeue concurrently, so the value is a
+  // snapshot.
+  size_t pending() const {
     std::lock_guard<std::mutex> lock(mu_);
     return tasks_.size();
   }
@@ -62,11 +56,11 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable task_ready_;
   std::condition_variable all_done_;
   std::queue<std::function<void()>> tasks_;
-  size_t queue_limit_ = 0;  // TrySubmit saturation bound; 0 = unbounded
+  const size_t queue_limit_;  // 0 = unbounded
   size_t in_flight_ = 0;
   bool stopping_ = false;
   std::vector<std::thread> threads_;

@@ -24,8 +24,8 @@ fail() {
     exit 1
 }
 
-"$AITIAD" --port 0 --workers 2 --queue-shards 2 --shard-capacity 4 \
-    --drain-grace-ms 10000 --metrics-json "$METRICS" >"$OUT" 2>"$WORK/daemon.err" &
+"$AITIAD" --port 0 --workers 2 --drain-grace-ms 10000 \
+    --metrics-json "$METRICS" >"$OUT" 2>"$WORK/daemon.err" &
 DPID=$!
 
 # Wait for the parseable startup line.

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -51,10 +52,7 @@ std::string HostileAitRequest(const char* file) {
 DaemonOptions SmallOptions() {
   DaemonOptions options;
   options.workers = 2;
-  options.queue_shards = 2;
-  options.shard_capacity = 4;
   options.cache_capacity = 16;
-  options.default_deadline_ms = 30000;
   return options;
 }
 
@@ -156,11 +154,9 @@ TEST(DaemonTest, CrashIsolationMalformedInputsThenSuccess) {
 }
 
 TEST(DaemonTest, OversizedRequestRejectedBeforeParsing) {
-  DaemonOptions options = SmallOptions();
-  options.max_request_bytes = 64;
-  Daemon daemon(options);
+  Daemon daemon(SmallOptions());
   const std::string big =
-      R"({"verb":"diagnose","scenario":")" + std::string(200, 'x') + "\"}";
+      R"({"verb":"diagnose","scenario":")" + std::string(kMaxRequestBytes, 'x') + "\"}";
   const JsonValue doc = Parse(daemon.HandleLine(big));
   EXPECT_EQ(Field(doc, "status"), "invalid_argument");
 }
@@ -179,6 +175,17 @@ TEST(DaemonTest, TinyDeadlineDegradesInsteadOfHanging) {
   // The worker is free again.
   EXPECT_EQ(Field(Parse(daemon.HandleLine(R"({"verb":"ping","id":"t2"})")), "status"),
             "ok");
+}
+
+TEST(DaemonTest, HugeDeadlineClampsToTheCeiling) {
+  DaemonOptions options = SmallOptions();
+  options.cache_capacity = 0;
+  Daemon daemon(options);
+  // A deadline far past int64_t's range must clamp to the ceiling, not wrap
+  // to a 1 ms budget that degrades the request.
+  const JsonValue doc = Parse(daemon.HandleLine(
+      R"({"verb":"diagnose","id":"h","scenario":"CVE-2017-15649","deadline_ms":1e300})"));
+  EXPECT_EQ(Field(doc, "status"), "ok");
 }
 
 // Async submission helper: collects one response, with a latch.
@@ -206,38 +213,44 @@ struct Capture {
 TEST(DaemonTest, DeterministicOverloadWhenQueueFull) {
   DaemonOptions options = SmallOptions();
   options.workers = 1;
-  options.queue_shards = 1;
-  options.shard_capacity = 1;
   options.cache_capacity = 0;
-  options.retry_after_ms = 77;
   Daemon daemon(options);
 
-  // A pins the single worker via hold_ms; B fills the single queue slot;
-  // C must be shed with the configured retry hint — deterministically.
-  Capture a, b, c;
+  // A pins the single worker via hold_ms; kQueueCapacity more requests fill
+  // every queue slot; the next one must be shed with the retry hint —
+  // deterministically.
+  Capture a;
   daemon.Submit(R"({"verb":"diagnose","id":"A","scenario":"fig-1","hold_ms":800})",
                 a.responder());
   while (daemon.in_flight() < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  daemon.Submit(R"({"verb":"diagnose","id":"B","scenario":"fig-5"})", b.responder());
-  while (daemon.queue_depth() < 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const char* scenarios[] = {"fig-1", "fig-5", "fig-7"};
+  std::vector<std::unique_ptr<Capture>> queued;
+  for (size_t i = 0; i < kQueueCapacity; ++i) {
+    queued.push_back(std::make_unique<Capture>());
+    daemon.Submit(StrFormat(R"({"verb":"diagnose","id":"B%zu","scenario":"%s"})", i,
+                            scenarios[i % 3]),
+                  queued.back()->responder());
   }
+  EXPECT_EQ(daemon.queue_depth(), kQueueCapacity);
+  Capture c;
   daemon.Submit(R"({"verb":"diagnose","id":"C","scenario":"fig-7"})", c.responder());
 
   const JsonValue rc = Parse(c.Wait());  // C answers immediately
   EXPECT_EQ(Field(rc, "id"), "C");
   EXPECT_EQ(Field(rc, "status"), "overloaded");
   ASSERT_NE(rc.Find("retry_after_ms"), nullptr);
-  EXPECT_EQ(rc.Find("retry_after_ms")->AsInt(), 77);
+  EXPECT_EQ(rc.Find("retry_after_ms")->AsInt(), kRetryAfterMs);
 
   const JsonValue ra = Parse(a.Wait());
-  const JsonValue rb = Parse(b.Wait());  // B was accepted: it must complete
   EXPECT_EQ(Field(ra, "id"), "A");
   EXPECT_EQ(Field(ra, "status"), "ok");
-  EXPECT_EQ(Field(rb, "id"), "B");
-  EXPECT_EQ(Field(rb, "status"), "ok");
+  for (size_t i = 0; i < kQueueCapacity; ++i) {  // accepted: each must complete
+    const JsonValue rb = Parse(queued[i]->Wait());
+    EXPECT_EQ(Field(rb, "id"), StrFormat("B%zu", i));
+    EXPECT_EQ(Field(rb, "status"), "ok");
+  }
 }
 
 TEST(DaemonTest, DrainRejectsNewButFinishesInFlight) {
@@ -323,8 +336,6 @@ TEST(DaemonTest, MetricsJsonIsValid) {
 TEST(DaemonTest, ConcurrentMixedLoadEveryRequestAnsweredOnce) {
   DaemonOptions options = SmallOptions();
   options.workers = 4;
-  options.queue_shards = 4;
-  options.shard_capacity = 4;
   Daemon daemon(options);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 25;

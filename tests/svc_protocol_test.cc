@@ -1,12 +1,12 @@
 // Unit tests for the service-layer building blocks beneath the daemon:
-// the hostile-input JSON parser, the bounded LRU result cache, the sharded
-// admission queue, and the scenario fingerprint the cache is keyed by.
+// the hostile-input JSON parser, the bounded LRU result cache, and the
+// scenario fingerprint the cache is keyed by.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <cstdint>
+#include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/bugs/registry.h"
@@ -14,7 +14,6 @@
 #include "src/ingest/serialize.h"
 #include "src/svc/cache.h"
 #include "src/svc/jsonv.h"
-#include "src/svc/work_queue.h"
 #include "src/util/strings.h"
 
 namespace aitia {
@@ -31,6 +30,15 @@ TEST(JsonParserTest, ParsesScalars) {
   EXPECT_EQ(ParseJson("-7").value().AsInt(), -7);
   EXPECT_DOUBLE_EQ(ParseJson("2.5e2").value().AsDouble(), 250.0);
   EXPECT_EQ(ParseJson("\"hi\"").value().AsString(), "hi");
+}
+
+TEST(JsonParserTest, AsIntSaturatesOutOfRangeNumbers) {
+  // Clients pick these numbers (deadline_ms, hold_ms, a numeric id); the
+  // conversion must clamp, not be undefined.
+  EXPECT_EQ(ParseJson("1e300").value().AsInt(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(ParseJson("1e19").value().AsInt(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(ParseJson("-1e300").value().AsInt(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(ParseJson("2.5").value().AsInt(), 2);
 }
 
 TEST(JsonParserTest, ParsesRequestShapedObject) {
@@ -176,95 +184,6 @@ TEST(FingerprintTest, Fnv1a64KnownVectors) {
   EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ull);
   EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
   EXPECT_EQ(Fnv1a64("foobar"), 0x85944171f73967e8ull);
-}
-
-// --- WorkQueue ---------------------------------------------------------------
-
-TEST(WorkQueueTest, AcceptedTasksRunExactlyOnce) {
-  std::atomic<int> ran{0};
-  {
-    WorkQueue queue({/*workers=*/2, /*shards=*/4, /*shard_capacity=*/64});
-    for (int i = 0; i < 100; ++i) {
-      ASSERT_EQ(queue.TryPush(static_cast<uint64_t>(i),
-                              [&ran] { ran.fetch_add(1); }),
-                WorkQueue::Push::kAccepted);
-    }
-    queue.Drain();
-  }
-  EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(WorkQueueTest, OverloadedWhenTargetShardFull) {
-  // No workers consuming (one worker pinned on a gate), shard_capacity 2:
-  // the third push to the same shard must shed.
-  std::atomic<bool> release{false};
-  std::atomic<int> ran{0};
-  WorkQueue queue({/*workers=*/1, /*shards=*/2, /*shard_capacity=*/2});
-  ASSERT_EQ(queue.TryPush(0,
-                          [&] {
-                            while (!release.load()) {
-                              std::this_thread::sleep_for(
-                                  std::chrono::microseconds(50));
-                            }
-                            ran.fetch_add(1);
-                          }),
-            WorkQueue::Push::kAccepted);
-  // Wait for the worker to pick up the gate so shard 0 is empty again.
-  while (queue.depth() != 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  EXPECT_EQ(queue.TryPush(0, [&ran] { ran.fetch_add(1); }),
-            WorkQueue::Push::kAccepted);
-  EXPECT_EQ(queue.TryPush(2, [&ran] { ran.fetch_add(1); }),  // 2 % 2 == shard 0
-            WorkQueue::Push::kAccepted);
-  EXPECT_EQ(queue.TryPush(4, [&ran] { ran.fetch_add(1); }),
-            WorkQueue::Push::kOverloaded);
-  // The sibling shard still has room: rejection is per-shard, not global.
-  EXPECT_EQ(queue.TryPush(1, [&ran] { ran.fetch_add(1); }),
-            WorkQueue::Push::kAccepted);
-  EXPECT_LE(queue.depth(), 4u);
-  release.store(true);
-  queue.Drain();
-  EXPECT_EQ(ran.load(), 4);  // gate + 3 accepted; the shed task never ran
-}
-
-TEST(WorkQueueTest, RejectsAfterDrain) {
-  WorkQueue queue({/*workers=*/1, /*shards=*/1, /*shard_capacity=*/4});
-  queue.Drain();
-  std::atomic<int> ran{0};
-  EXPECT_EQ(queue.TryPush(0, [&ran] { ran.fetch_add(1); }),
-            WorkQueue::Push::kShutdown);
-  queue.Drain();  // idempotent
-  EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(WorkQueueTest, DrainRunsEverythingAccepted) {
-  // Push from several threads while another thread drains: whatever was
-  // accepted must run exactly once, and nothing may be lost or doubled.
-  std::atomic<int> accepted{0};
-  std::atomic<int> ran{0};
-  WorkQueue queue({/*workers=*/2, /*shards=*/4, /*shard_capacity=*/8});
-  std::vector<std::thread> pushers;
-  std::atomic<bool> stop{false};
-  for (int t = 0; t < 4; ++t) {
-    pushers.emplace_back([&, t] {
-      for (uint64_t i = 0; !stop.load() && i < 10000; ++i) {
-        if (queue.TryPush(i * 4 + static_cast<uint64_t>(t),
-                          [&ran] { ran.fetch_add(1); }) ==
-            WorkQueue::Push::kAccepted) {
-          accepted.fetch_add(1);
-        }
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  queue.Drain();
-  stop.store(true);
-  for (std::thread& t : pushers) {
-    t.join();
-  }
-  EXPECT_EQ(ran.load(), accepted.load());
-  EXPECT_EQ(queue.depth(), 0u);
 }
 
 }  // namespace

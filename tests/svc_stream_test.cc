@@ -41,10 +41,7 @@ std::string Field(const JsonValue& doc, const char* key) {
 DaemonOptions SmallOptions() {
   DaemonOptions options;
   options.workers = 2;
-  options.queue_shards = 2;
-  options.shard_capacity = 8;
   options.cache_capacity = 16;
-  options.default_deadline_ms = 30000;
   return options;
 }
 

@@ -1,12 +1,14 @@
-// Shutdown-robustness regression tests for util::ThreadPool.
+// Shutdown and admission tests for util::ThreadPool.
 //
 // The contract under test: every accepted task runs; a task submitted after
-// shutdown begins is rejected deterministically (returns false, never runs);
-// nothing can sit in the queue unexecuted.
+// shutdown begins, or while the bounded queue is full, is rejected
+// deterministically (returns false, never runs); nothing can sit in the queue
+// unexecuted.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -63,25 +65,10 @@ TEST(ThreadPoolShutdownTest, TasksSubmittedDuringShutdownRunOrReject) {
   EXPECT_EQ(ran.load(), accepted.load());
 }
 
-TEST(ThreadPoolTrySubmitTest, AcceptedTasksRun) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2, /*queue_limit=*/1000);
-    int accepted = 0;
-    for (int i = 0; i < 100; ++i) {
-      if (pool.TrySubmit([&counter] { counter.fetch_add(1); })) {
-        ++accepted;
-      }
-    }
-    EXPECT_EQ(accepted, 100);  // queue never saturates at this limit
-  }
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTrySubmitTest, RejectsWhenSaturated) {
-  // One worker pinned on a gate, queue_limit 2: the first TrySubmit runs (or
-  // queues), the next two fill the queue, the fourth must bounce — without
-  // blocking the submitter.
+TEST(ThreadPoolSubmitTest, RejectsWhenSaturated) {
+  // One worker pinned on a gate, queue_limit 2: the first Submit runs, the
+  // next two fill the queue, the fourth must bounce — without blocking the
+  // submitter.
   ThreadPool pool(1, /*queue_limit=*/2);
   std::atomic<bool> release{false};
   std::atomic<int> ran{0};
@@ -91,41 +78,50 @@ TEST(ThreadPoolTrySubmitTest, RejectsWhenSaturated) {
     }
     ran.fetch_add(1);
   }));
-  // Wait until the worker has dequeued the gate task, so queue depth is 0.
-  while (pool.QueueDepthForTest() != 0) {
+  // Wait until the worker has dequeued the gate task, so nothing is pending.
+  while (pool.pending() != 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
-  EXPECT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }));
-  EXPECT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }));
+  EXPECT_TRUE(pool.Submit([&ran] { ran.fetch_add(1); }));
+  EXPECT_TRUE(pool.Submit([&ran] { ran.fetch_add(1); }));
   std::atomic<int> never{0};
-  EXPECT_FALSE(pool.TrySubmit([&never] { never.fetch_add(1); }));
+  EXPECT_FALSE(pool.Submit([&never] { never.fetch_add(1); }));
   release.store(true);
   pool.Wait();
   EXPECT_EQ(ran.load(), 3);     // gate + the two accepted tasks
   EXPECT_EQ(never.load(), 0);   // the rejected task never runs
-  // Capacity freed up again: the next TrySubmit is accepted.
-  EXPECT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }));
+  // Capacity freed up again: the next Submit is accepted.
+  EXPECT_TRUE(pool.Submit([&ran] { ran.fetch_add(1); }));
   pool.Wait();
   EXPECT_EQ(ran.load(), 4);
 }
 
-TEST(ThreadPoolTrySubmitTest, RejectedAfterShutdown) {
-  ThreadPool pool(2, /*queue_limit=*/8);
-  pool.Shutdown();
-  std::atomic<int> counter{0};
-  EXPECT_FALSE(pool.TrySubmit([&counter] { counter.fetch_add(1); }));
-  EXPECT_EQ(counter.load(), 0);
-}
-
-TEST(ThreadPoolTrySubmitTest, ZeroLimitMeansUnbounded) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(1);  // default queue_limit = 0: TrySubmit never saturates
-    for (int i = 0; i < 500; ++i) {
-      EXPECT_TRUE(pool.TrySubmit([&counter] { counter.fetch_add(1); }));
-    }
+TEST(ThreadPoolSubmitTest, DrainRunsEverythingAccepted) {
+  // Submit from several threads into a bounded queue while another thread
+  // shuts the pool down: whatever was accepted must run exactly once, and
+  // nothing may be lost or doubled.
+  std::atomic<int> accepted{0};
+  std::atomic<int> ran{0};
+  ThreadPool pool(2, /*queue_limit=*/32);
+  std::vector<std::thread> submitters;
+  std::atomic<bool> stop{false};
+  for (int t = 0; t < 4; ++t) {
+    submitters.emplace_back([&] {
+      for (int i = 0; !stop.load() && i < 10000; ++i) {
+        if (pool.Submit([&ran] { ran.fetch_add(1); })) {
+          accepted.fetch_add(1);
+        }
+      }
+    });
   }
-  EXPECT_EQ(counter.load(), 500);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  pool.Shutdown();
+  stop.store(true);
+  for (std::thread& t : submitters) {
+    t.join();
+  }
+  EXPECT_EQ(ran.load(), accepted.load());
+  EXPECT_EQ(pool.pending(), 0u);
 }
 
 TEST(ThreadPoolShutdownTest, WaitAfterShutdownReturns) {
