@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <utility>
@@ -54,7 +55,7 @@ SupervisorOptions LifsSupervisorOptions(const LifsOptions& options) {
   return so;
 }
 
-// Access-pattern fingerprint of one run.
+// Access-pattern fingerprint of one run (keep_explored only).
 std::string TraceFingerprint(const RunResult& run) {
   std::string fp;
   for (const ExecEvent& e : run.trace) {
@@ -67,22 +68,123 @@ std::string TraceFingerprint(const RunResult& run) {
   return fp;
 }
 
+// The largest range end (addr + len) among the accesses added so far, kept
+// for up to two threads: the largest overall, and the largest among every
+// other thread. Together they give the largest end of any thread but `t`,
+// for every `t`.
+class EndsByThread {
+ public:
+  void Add(ThreadId tid, Addr end) {
+    if (size_ == 0) {
+      top_[0] = {tid, end};
+      size_ = 1;
+    } else if (tid == top_[0].tid) {
+      top_[0].end = std::max(top_[0].end, end);
+    } else if (end > top_[0].end) {
+      top_[1] = top_[0];
+      top_[0] = {tid, end};
+      size_ = 2;
+    } else if (size_ == 1 || end > top_[1].end) {
+      top_[1] = {tid, end};
+      size_ = 2;
+    }
+  }
+
+  // True if an added access of a thread other than `tid` ends past `addr`.
+  bool OtherEndsPast(ThreadId tid, Addr addr) const {
+    for (size_t i = 0; i < size_; ++i) {
+      if (top_[i].tid != tid) {
+        return top_[i].end > addr;
+      }
+    }
+    return false;
+  }
+
+ private:
+  struct Entry {
+    ThreadId tid = kNoThread;
+    Addr end = 0;
+  };
+  Entry top_[2];
+  size_t size_ = 0;
+};
+
 }  // namespace
+
+std::vector<KnownAccess> ConflictCandidates(std::vector<KnownAccess> known, bool dpor_pruning) {
+  std::vector<KnownAccess> out;
+  if (!dpor_pruning) {
+    out = std::move(known);
+  } else {
+    // DPOR-style restriction: preempting after `a` only creates a new order
+    // if an access `b` of another thread conflicts with it,
+    //   a.addr < b.addr + b.len && b.addr < a.addr + a.len && (a.write || b.write),
+    // with the ends wrapping as unsigned sums. One sweep answers this for
+    // every `a`: taking the accesses by ascending end, it adds every `b`
+    // that starts below that end, then asks whether another thread's added
+    // access ends past a.addr (any access for a write, a write for a read).
+    const size_t n = known.size();
+    auto end = [&known](size_t i) { return known[i].addr + known[i].len; };
+    std::vector<size_t> by_start(n);
+    std::iota(by_start.begin(), by_start.end(), 0);
+    std::vector<size_t> by_end = by_start;
+    std::sort(by_start.begin(), by_start.end(),
+              [&known](size_t x, size_t y) { return known[x].addr < known[y].addr; });
+    std::sort(by_end.begin(), by_end.end(), [&end](size_t x, size_t y) { return end(x) < end(y); });
+    EndsByThread accesses;
+    EndsByThread writes;
+    std::vector<char> conflicts(n, 0);
+    size_t added = 0;
+    for (size_t q : by_end) {
+      for (; added < n && known[by_start[added]].addr < end(q); ++added) {
+        const size_t b = by_start[added];
+        accesses.Add(known[b].di.tid, end(b));
+        if (known[b].write) {
+          writes.Add(known[b].di.tid, end(b));
+        }
+      }
+      const KnownAccess& a = known[q];
+      conflicts[q] = (a.write ? accesses : writes).OtherEndsPast(a.di.tid, a.addr);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (conflicts[i]) {
+        out.push_back(known[i]);
+      }
+    }
+  }
+  // Front-to-back: earliest-discovered instructions first.
+  std::sort(out.begin(), out.end(), [](const KnownAccess& x, const KnownAccess& y) {
+    if (x.first_pos != y.first_pos) {
+      return x.first_pos < y.first_pos;
+    }
+    return x.di < y.di;
+  });
+  return out;
+}
 
 // Enumerates one depth-k pass of the search space in canonical order:
 // k-point tuples front-to-back (candidate-major, lexicographic over the
 // encoded candidate×variant space, adjacent-pair constraints applied), each
-// tuple crossed with every base order.
+// tuple crossed with every base order, which std::next_permutation advances
+// from the sorted one. Only tuples holding a `fresh` candidate are yielded:
+// a re-pass at the same depth marks the candidates the pass before lacked,
+// since that pass already ran every tuple of its own candidates (a subset of
+// this pass's: candidates only grow).
 class Lifs::PassFrontier {
  public:
-  PassFrontier(std::vector<KnownAccess> candidates, size_t stride, size_t k,
-               const std::vector<std::vector<ThreadId>>* perms,
-               const std::vector<IrqLine>* irq_lines)
+  PassFrontier(std::vector<KnownAccess> candidates, std::vector<char> fresh, size_t stride,
+               size_t k, std::vector<ThreadId> first_order, const std::vector<IrqLine>* irq_lines)
       : candidates_(std::move(candidates)),
+        fresh_(std::move(fresh)),
+        next_fresh_(candidates_.size() + 1, candidates_.size()),
         stride_(stride),
         k_(k),
-        perms_(perms),
-        irq_lines_(irq_lines) {}
+        order_(std::move(first_order)),
+        irq_lines_(irq_lines) {
+    for (size_t i = candidates_.size(); i-- > 0;) {
+      next_fresh_[i] = fresh_[i] ? i : next_fresh_[i + 1];
+    }
+  }
 
   std::optional<PreemptionSchedule> Next() {
     if (done_) {
@@ -90,22 +192,19 @@ class Lifs::PassFrontier {
     }
     if (first_) {
       first_ = false;
-      tuple_.clear();
-      if (k_ > 0 && !Extend(0)) {
+      if (!Extend(0)) {
         done_ = true;
         return std::nullopt;
       }
-      perm_idx_ = 0;
-    }
-    if (perm_idx_ >= perms_->size()) {
+    } else if (!std::next_permutation(order_.begin(), order_.end())) {
+      // order_ wrapped around to the sorted base order: next tuple.
       if (!NextTuple()) {
         done_ = true;
         return std::nullopt;
       }
-      perm_idx_ = 0;
     }
     PreemptionSchedule schedule;
-    schedule.base_order = (*perms_)[perm_idx_++];
+    schedule.base_order = order_;
     schedule.points.reserve(tuple_.size());
     for (size_t e : tuple_) {
       schedule.points.push_back(DecodePoint(e));
@@ -115,33 +214,43 @@ class Lifs::PassFrontier {
 
  private:
   // Grows tuple_ to length k_, trying encoded values from `start` upward at
-  // the current level and from 0 at deeper levels (lexicographic DFS).
+  // the current level and from 0 at deeper levels (lexicographic DFS). The
+  // last point of a tuple with no fresh candidate yet must be fresh.
   bool Extend(size_t start) {
+    const bool need_fresh = tuple_.size() + 1 == k_ && fresh_points_ == 0;
     for (size_t e = start; e < candidates_.size() * stride_; ++e) {
+      const size_t i = e / stride_;
+      if (need_fresh && !fresh_[i]) {
+        e = next_fresh_[i] * stride_ - 1;  // skip to the next fresh candidate
+        continue;
+      }
       if (!ValidAppend(e)) {
         continue;
       }
       tuple_.push_back(e);
+      fresh_points_ += fresh_[i];
       if (tuple_.size() == k_ || Extend(0)) {
         return true;
       }
-      tuple_.pop_back();
+      Pop();
     }
     return false;
   }
 
   bool NextTuple() {
-    if (k_ == 0) {
-      return false;  // the single empty tuple was already yielded
-    }
     while (!tuple_.empty()) {
       const size_t last = tuple_.back();
-      tuple_.pop_back();
+      Pop();
       if (Extend(last + 1)) {
         return true;
       }
     }
     return false;
+  }
+
+  void Pop() {
+    fresh_points_ -= fresh_[tuple_.back() / stride_];
+    tuple_.pop_back();
   }
 
   bool ValidAppend(size_t e) const {
@@ -177,12 +286,15 @@ class Lifs::PassFrontier {
   }
 
   std::vector<KnownAccess> candidates_;
+  std::vector<char> fresh_;
+  // next_fresh_[i]: the first fresh candidate at or after i (size() if none).
+  std::vector<size_t> next_fresh_;
   size_t stride_;
   size_t k_;
-  const std::vector<std::vector<ThreadId>>* perms_;
+  std::vector<ThreadId> order_;  // the current base order
   const std::vector<IrqLine>* irq_lines_;
   std::vector<size_t> tuple_;
-  size_t perm_idx_ = 0;
+  size_t fresh_points_ = 0;  // fresh candidates in tuple_
   bool first_ = true;
   bool done_ = false;
 };
@@ -193,7 +305,12 @@ Lifs::Lifs(const KernelImage* image, std::vector<ThreadSpec> slice,
       slice_(std::move(slice)),
       setup_(std::move(setup)),
       options_(options),
-      supervisor_(image, LifsSupervisorOptions(options)) {}
+      supervisor_(image, LifsSupervisorOptions(options)) {
+  // A repeated IRQ line adds no schedule: keep its first occurrence.
+  std::set<std::pair<ProgramId, Word>> lines;
+  std::erase_if(options_.irq_lines,
+                [&lines](const IrqLine& l) { return !lines.insert({l.handler, l.arg}).second; });
+}
 
 bool Lifs::SearchCutShort() {
   if (!result_.status.ok()) {
@@ -232,78 +349,47 @@ bool Lifs::MatchesTarget(const std::optional<Failure>& failure) const {
 }
 
 void Lifs::Learn(const RunResult& run) {
-  std::map<ThreadId, int64_t> positions;
+  std::vector<int64_t> positions;  // events per thread so far, by tid
   for (const ExecEvent& e : run.trace) {
-    int64_t pos = positions[e.di.tid]++;
-    if (!e.is_access) {
-      continue;
+    const auto tid = static_cast<size_t>(e.di.tid);
+    if (tid >= positions.size()) {
+      positions.resize(tid + 1, 0);
     }
-    auto& known = knowledge_[e.di.tid];
-    bool seen = std::any_of(known.begin(), known.end(),
-                            [&](const KnownAccess& k) { return k.di == e.di; });
-    if (!seen) {
-      known.push_back({e.di, e.addr, e.len, e.is_write, pos});
-    }
-    if (std::find(known_tids_.begin(), known_tids_.end(), e.di.tid) == known_tids_.end()) {
-      known_tids_.push_back(e.di.tid);
+    const int64_t pos = positions[tid]++;
+    if (e.is_access && known_instrs_.insert(e.di).second) {
+      knowledge_[e.di.tid].push_back({e.di, e.addr, e.len, e.is_write, pos});
     }
   }
 
   // Keep complete per-thread streams from clean runs as phantom references.
-  if (!run.failure.has_value() && run.all_exited) {
-    std::map<ThreadId, std::vector<ExecEvent>> streams;
-    for (const ExecEvent& e : run.trace) {
-      streams[e.di.tid].push_back(e);
-    }
-    for (auto& [tid, stream] : streams) {
-      auto& ref = result_.reference_streams[tid];
-      if (stream.size() > ref.size()) {
-        ref = std::move(stream);
-      }
-    }
+  // A thread's events are copied only when they outnumber its reference.
+  if (run.failure.has_value() || !run.all_exited) {
+    return;
   }
-}
-
-std::vector<Lifs::KnownAccess> Lifs::ConflictCandidates() const {
-  std::vector<KnownAccess> all;
-  for (const auto& [tid, accesses] : knowledge_) {
-    (void)tid;
-    all.insert(all.end(), accesses.begin(), accesses.end());
-  }
-  std::vector<KnownAccess> out;
-  for (const KnownAccess& a : all) {
-    if (!options_.dpor_pruning) {
-      out.push_back(a);
+  std::vector<std::vector<ExecEvent>*> longer(positions.size(), nullptr);
+  bool any_longer = false;
+  for (size_t tid = 0; tid < positions.size(); ++tid) {
+    if (positions[tid] == 0) {
       continue;
     }
-    // DPOR-style restriction: preempting after `a` only creates a new order
-    // if some other thread conflicts on the same memory.
-    bool conflicts = std::any_of(all.begin(), all.end(), [&](const KnownAccess& b) {
-      if (b.di.tid == a.di.tid) {
-        return false;
-      }
-      const bool overlap = a.addr < b.addr + b.len && b.addr < a.addr + a.len;
-      return overlap && (a.write || b.write);
-    });
-    if (conflicts) {
-      out.push_back(a);
+    std::vector<ExecEvent>& ref = result_.reference_streams[static_cast<ThreadId>(tid)];
+    if (static_cast<size_t>(positions[tid]) > ref.size()) {
+      ref.clear();
+      ref.reserve(static_cast<size_t>(positions[tid]));
+      longer[tid] = &ref;
+      any_longer = true;
     }
   }
-  // Front-to-back: earliest-discovered instructions first.
-  std::sort(out.begin(), out.end(), [](const KnownAccess& x, const KnownAccess& y) {
-    if (x.first_pos != y.first_pos) {
-      return x.first_pos < y.first_pos;
+  if (any_longer) {
+    for (const ExecEvent& e : run.trace) {
+      if (std::vector<ExecEvent>* ref = longer[static_cast<size_t>(e.di.tid)]) {
+        ref->push_back(e);
+      }
     }
-    return x.di < y.di;
-  });
-  return out;
+  }
 }
 
 bool Lifs::Execute(const PreemptionSchedule& schedule, int interleavings) {
-  if (!tried_schedules_.insert(schedule.ToString()).second) {
-    obs::Span("lifs", "lifs.prune", 'i').Arg("reason", "duplicate-schedule");
-    return false;  // exact schedule already run
-  }
   obs::Span span("lifs", "lifs.run");
   span.Arg("k", interleavings).Arg("points", schedule.points.size());
   StatusOr<EnforceResult> supervised = supervisor_.RunPreemption(slice_, schedule, setup_);
@@ -325,10 +411,10 @@ bool Lifs::Execute(const PreemptionSchedule& schedule, int interleavings) {
   }
   const RunResult& run = supervised->run;
   Learn(run);
-  const bool fresh = fingerprints_.insert(TraceFingerprint(run)).second;
   const bool matched = MatchesTarget(run.failure);
   LifsMetrics::Get().preemption_points->Record(static_cast<int64_t>(schedule.points.size()));
   if (options_.keep_explored) {
+    const bool fresh = fingerprints_.insert(TraceFingerprint(run)).second;
     result_.explored.push_back(
         {schedule, interleavings, run.failure.has_value(), matched, !fresh});
   }
@@ -466,14 +552,12 @@ LifsResult Lifs::RunSearch() {
   }
   result_.slice_tids = tids;
 
-  std::vector<std::vector<ThreadId>> perms;
-  {
-    std::vector<ThreadId> perm = tids;
-    std::sort(perm.begin(), perm.end());
-    do {
-      perms.push_back(perm);
-    } while (std::next_permutation(perm.begin(), perm.end()));
-  }
+  // Base orders are enumerated lazily, std::next_permutation from the sorted
+  // order, so the n! of them never sit in memory. The sequential frontier
+  // counts them; the depth passes run only after it has yielded them all.
+  std::vector<ThreadId> first_order = tids;
+  std::sort(first_order.begin(), first_order.end());
+  int64_t base_orders = 0;
 
   bool discovery_done = false;
   auto finish = [&]() -> LifsResult& {
@@ -487,12 +571,16 @@ LifsResult Lifs::RunSearch() {
 
   // Interleaving count 0: sequential orders (also the discovery runs).
   {
-    size_t next_perm = 0;
+    std::vector<ThreadId> order = first_order;
+    bool exhausted = false;
     FrontierFn frontier = [&]() -> std::optional<PreemptionSchedule> {
-      if (next_perm >= perms.size()) {
+      if (exhausted) {
         return std::nullopt;
       }
-      return PreemptionSchedule{perms[next_perm++], {}};
+      PreemptionSchedule schedule{order, {}};
+      ++base_orders;
+      exhausted = !std::next_permutation(order.begin(), order.end());
+      return schedule;
     };
     if (RunFrontier(frontier, 0)) {
       return finish();
@@ -502,9 +590,9 @@ LifsResult Lifs::RunSearch() {
   // IRQ discovery (§4.6 extension): a handler's instructions are unknown
   // until it runs once, but the conflict restriction needs them to propose
   // injection points. Inject each line once at the first known access.
+  DynInstr first_access;
+  bool have_access = false;
   if (!options_.irq_lines.empty()) {
-    DynInstr first_access;
-    bool have_access = false;
     for (const auto& [tid, accesses] : knowledge_) {
       (void)tid;
       for (const KnownAccess& a : accesses) {
@@ -526,7 +614,7 @@ LifsResult Lifs::RunSearch() {
         }
         const IrqLine& line = options_.irq_lines[next_line++];
         PreemptionSchedule schedule;
-        schedule.base_order = perms.front();
+        schedule.base_order = first_order;
         schedule.points = {{first_access, /*before=*/true, kNoThread, line.handler, line.arg}};
         return schedule;
       };
@@ -535,6 +623,12 @@ LifsResult Lifs::RunSearch() {
       }
     }
   }
+  // The depth-1 passes propose every IRQ probe again; it already ran.
+  auto is_irq_probe = [&](const PreemptionSchedule& schedule) {
+    const PreemptPoint& p = schedule.points.front();
+    return have_access && p.inject_irq != kNoProgram && p.before && p.after == first_access &&
+           schedule.base_order == first_order;
+  };
 
   result_.discovery_seconds = watch.ElapsedSeconds();
   discovery_done = true;
@@ -542,23 +636,28 @@ LifsResult Lifs::RunSearch() {
                         {{"schedules_executed", result_.schedules_executed}});
 
   for (int k = 1; k <= options_.max_interleavings; ++k) {
+    // Candidates of the previous pass at this depth: its tuples already ran.
+    std::unordered_set<DynInstr> passed;
     // Knowledge can grow while exploring depth k (race-steered control
     // flows); regenerate candidates until a full pass adds nothing new.
     for (;;) {
       if (SearchCutShort()) {
         return finish();
       }
-      std::vector<KnownAccess> candidates = ConflictCandidates();
-      size_t total_known = 0;
+      std::vector<KnownAccess> known;
+      known.reserve(known_instrs_.size());
       for (const auto& [tid, accesses] : knowledge_) {
         (void)tid;
-        total_known += accesses.size();
+        known.insert(known.end(), accesses.begin(), accesses.end());
       }
-      if (options_.dpor_pruning && candidates.size() < total_known) {
+      std::vector<KnownAccess> candidates = ConflictCandidates(std::move(known),
+                                                               options_.dpor_pruning);
+      const size_t known_before = known_instrs_.size();
+      if (options_.dpor_pruning && candidates.size() < known_before) {
         // Preemptions at non-conflicting instructions are equivalent to not
         // preempting at all — count them as pruned once per depth pass.
         const int64_t pruned =
-            static_cast<int64_t>((total_known - candidates.size()) * perms.size());
+            static_cast<int64_t>(known_before - candidates.size()) * base_orders;
         result_.schedules_pruned += pruned;
         obs::Span("lifs", "lifs.prune", 'i')
             .Arg("reason", "dpor-nonconflicting")
@@ -566,7 +665,6 @@ LifsResult Lifs::RunSearch() {
             .Arg("depth", k);
       }
 
-      const size_t known_before = total_known;
       obs::PublishDiagEvent(options_.event_scope, obs::DiagPhase::kLifs, "lifs.pass", "",
                             {{"depth", k},
                              {"candidates", static_cast<int64_t>(candidates.size())},
@@ -575,23 +673,27 @@ LifsResult Lifs::RunSearch() {
       // One pass over the depth-k frontier. Candidates are a snapshot:
       // knowledge learned mid-pass only affects the next pass (the pass's
       // schedule set is fixed at pass start).
+      std::vector<char> fresh(candidates.size());
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        fresh[i] = passed.insert(candidates[i].di).second ? 1 : 0;
+      }
       const size_t stride = 2 + 2 * options_.irq_lines.size();
-      PassFrontier pass(std::move(candidates), stride, static_cast<size_t>(k), &perms,
-                        &options_.irq_lines);
-      FrontierFn frontier = [&pass]() { return pass.Next(); };
+      PassFrontier pass(std::move(candidates), std::move(fresh), stride, static_cast<size_t>(k),
+                        first_order, &options_.irq_lines);
+      FrontierFn frontier = [&]() {
+        std::optional<PreemptionSchedule> schedule = pass.Next();
+        while (k == 1 && schedule.has_value() && is_irq_probe(*schedule)) {
+          schedule = pass.Next();
+        }
+        return schedule;
+      };
       if (RunFrontier(frontier, k)) {
         return finish();
       }
       if (SearchCutShort()) {
         return finish();
       }
-
-      size_t known_after = 0;
-      for (const auto& [tid, accesses] : knowledge_) {
-        (void)tid;
-        known_after += accesses.size();
-      }
-      if (known_after == known_before) {
+      if (known_instrs_.size() == known_before) {
         break;  // no dynamic discovery at this depth; deepen
       }
     }

@@ -28,6 +28,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "src/analysis/races.h"
@@ -53,7 +54,9 @@ struct LifsOptions {
   // crash-report class is known). Ignored when `target` is set.
   std::optional<FailureType> target_type;
   int64_t max_steps_per_run = 200000;
-  // Record every explored schedule (Figure 5 benchmarks).
+  // Record every executed schedule in `LifsResult::explored`, each flagged
+  // when its run's access trace equals an earlier run's (Figure 5, the
+  // explored-order goldens). Only this option fingerprints the runs' traces.
   bool keep_explored = false;
   // Supervised execution: per-run deadline, cancellation and livelock
   // watchdog. `supervisor.max_steps` is overridden by max_steps_per_run.
@@ -75,6 +78,22 @@ struct ExploredSchedule {
   bool matched = false;
   bool equivalent_to_earlier = false;  // fingerprint-identical outcome
 };
+
+// One memory-accessing dynamic instruction in the knowledge base, as first
+// observed.
+struct KnownAccess {
+  DynInstr di;
+  Addr addr = 0;
+  Addr len = 1;
+  bool write = false;
+  int64_t first_pos = 0;  // discovery position within its thread
+};
+
+// The preemption candidates of one depth pass, earliest-discovered first:
+// every known access, or with `dpor_pruning` only those that overlap an
+// access of another thread with at least one of the two writing.
+// O(N log N) in the number of known accesses.
+std::vector<KnownAccess> ConflictCandidates(std::vector<KnownAccess> known, bool dpor_pruning);
 
 struct LifsResult {
   bool reproduced = false;
@@ -126,14 +145,6 @@ class Lifs {
   LifsResult Run();
 
  private:
-  struct KnownAccess {
-    DynInstr di;
-    Addr addr = 0;
-    Addr len = 1;
-    bool write = false;
-    int64_t first_pos = 0;  // discovery position within its thread
-  };
-
   // Generates one search level's candidate schedules in canonical order
   // (tuples lexicographic front-to-back, then base orders).
   class PassFrontier;
@@ -142,15 +153,17 @@ class Lifs {
   using FrontierFn = std::function<std::optional<PreemptionSchedule>()>;
 
   bool MatchesTarget(const std::optional<Failure>& failure) const;
-  // Runs one schedule, learns from it, records its fingerprint and explored
-  // entry, and finalizes on a symptom match. Returns true if the failure was
-  // reproduced (result_ is then final).
+  // Runs one schedule, learns from it, records its explored entry (under
+  // keep_explored), and finalizes on a symptom match. Returns true if the
+  // failure was reproduced (result_ is then final).
   bool Execute(const PreemptionSchedule& schedule, int interleavings);
   // Walks one frontier in order to exhaustion, a match, or a budget cut.
   // Returns true if the failure was reproduced.
   bool RunFrontier(const FrontierFn& next, int interleavings);
+  // Adds the run's unseen accesses to the knowledge base and, for a clean
+  // complete run, keeps each thread's stream that outgrows its reference.
+  // O(trace length).
   void Learn(const RunResult& run);
-  std::vector<KnownAccess> ConflictCandidates() const;
   void FinalizeFailingRun(const RunResult& run, const PreemptionSchedule& schedule,
                           int interleavings);
 
@@ -166,10 +179,11 @@ class Lifs {
   Supervisor supervisor_;
   Stopwatch search_watch_;
 
+  // Known accesses per thread in discovery order, and the set of their
+  // dynamic instructions for the seen-check.
   std::map<ThreadId, std::vector<KnownAccess>> knowledge_;
-  std::vector<ThreadId> known_tids_;
-  std::set<std::string> fingerprints_;
-  std::set<std::string> tried_schedules_;
+  std::unordered_set<DynInstr> known_instrs_;
+  std::set<std::string> fingerprints_;  // keep_explored only
   LifsResult result_;
 };
 

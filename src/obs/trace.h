@@ -105,7 +105,7 @@ std::string ToChromeTraceJson(const TraceDump& dump);
 //   obs::Span span("lifs", "lifs.run");
 //   span.Arg("k", interleavings).Arg("matched", matched);
 //
-//   obs::Span("lifs", "lifs.prune", 'i').Arg("reason", "duplicate-schedule");
+//   obs::Span("lifs", "lifs.prune", 'i').Arg("reason", "dpor-nonconflicting");
 class Span {
  public:
   Span(const char* cat, const char* name, char ph = 'X');

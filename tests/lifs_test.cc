@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "src/bugs/registry.h"
 #include "src/core/lifs.h"
 #include "src/sim/builder.h"
@@ -165,6 +168,34 @@ TEST(LifsTest, ExploredSchedulesRecordedOnDemand) {
   ASSERT_TRUE(r.reproduced);
   EXPECT_EQ(static_cast<int64_t>(r.explored.size()), r.schedules_executed);
   EXPECT_TRUE(r.explored.back().matched);
+}
+
+// A re-pass at the same depth yields only tuples with a candidate new to it,
+// the depth-1 passes skip the IRQ probes and a repeated IRQ line is dropped,
+// so a search that runs to its end never runs a schedule twice.
+TEST(LifsTest, NoScheduleRunsTwice) {
+  for (const char* id : {"CVE-2017-15649", "ext-irq", "fig-5"}) {
+    for (bool dpor : {true, false}) {
+      BugScenario s = MakeScenario(id);
+      LifsOptions options;
+      options.target_type = FailureType::kDoubleFree;  // never happens here
+      options.max_schedules = 5000;
+      options.dpor_pruning = dpor;
+      options.keep_explored = true;
+      options.irq_lines = s.irq_lines;
+      if (!s.irq_lines.empty()) {
+        options.irq_lines.push_back(s.irq_lines.front());
+      }
+      LifsResult r = RunLifs(s, options);
+      ASSERT_FALSE(r.reproduced) << id;
+      std::set<std::string> seen;
+      for (const ExploredSchedule& e : r.explored) {
+        EXPECT_TRUE(seen.insert(e.schedule.ToString()).second)
+            << id << " dpor " << dpor << ": " << e.schedule.ToString();
+      }
+      EXPECT_EQ(static_cast<int64_t>(seen.size()), r.schedules_executed) << id;
+    }
+  }
 }
 
 // Each executed schedule is exactly one supervised run, so the budget and the
