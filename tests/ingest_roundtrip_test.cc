@@ -14,6 +14,7 @@
 
 #include "src/bugs/diagnose.h"
 #include "src/bugs/registry.h"
+#include "src/core/report.h"
 #include "src/ingest/ingest.h"
 
 namespace aitia {
@@ -148,6 +149,30 @@ TEST(IngestRoundTripTest, CheckedInExampleTracesMatchCorpus) {
     EXPECT_TRUE(got.diagnosed);
     EXPECT_EQ(want.causality.chain.Render(*reference.image),
               got.causality.chain.Render(*loaded->image));
+  }
+}
+
+// The report without what varies from run to run (golden_test's rule).
+std::string CanonicalJson(AitiaReport report, const KernelImage& image) {
+  report.metrics = obs::MetricsSnapshot{};
+  report.lifs.seconds = 0;
+  report.causality.seconds = 0;
+  return ReportToJson(report, image);
+}
+
+// Every src/bugs/corpus/<id>.ait assembles to the scenario its C++ factory
+// builds, notes included, and diagnoses to the same canonical report.
+TEST(IngestRoundTripTest, CorpusTextsMatchFactories) {
+  for (const ScenarioEntry& entry : AllScenarios()) {
+    SCOPED_TRACE(entry.id);
+    const std::string path = std::string(AITIA_CORPUS_DIR) + "/" + entry.id + ".ait";
+    StatusOr<BugScenario> loaded = ScenarioFromAitFile(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    BugScenario factory = entry.make();
+    ExpectSameScenario(factory, *loaded);
+    EXPECT_EQ(ScenarioToAit(factory), ScenarioToAit(*loaded));
+    EXPECT_EQ(CanonicalJson(DiagnoseScenario(factory), *factory.image),
+              CanonicalJson(DiagnoseScenario(*loaded), *loaded->image));
   }
 }
 
