@@ -1,47 +1,56 @@
 #include "src/bugs/registry.h"
 
 #include <cstdlib>
+#include <memory>
+#include <utility>
 
+#include "src/ingest/assemble.h"
+#include "src/ingest/parser.h"
 #include "src/util/log.h"
 
 namespace aitia {
+namespace {
+
+// The texts are part of the build and tested, so one that does not assemble,
+// or names a scenario other than its file, is a broken build.
+BugScenario Assemble(const CorpusText& corpus) {
+  const std::string file = std::string("src/bugs/corpus/") + corpus.id + ".ait";
+  StatusOr<TraceDoc> doc = ParseTraceText(corpus.text, file);
+  StatusOr<BugScenario> scenario = doc.ok() ? AssembleScenario(*doc) : doc.status();
+  if (!scenario.ok()) {
+    AITIA_LOG(kError) << scenario.status().ToString();
+    std::abort();
+  }
+  if (scenario->id != corpus.id) {
+    AITIA_LOG(kError) << file << ": names scenario " << scenario->id;
+    std::abort();
+  }
+  return std::move(*scenario);
+}
+
+}  // namespace
+
+ScenarioEntry::ScenarioEntry(const BugScenario& scenario)
+    : id(scenario.id.c_str()), scenario_(&scenario) {}
+
+BugScenario ScenarioEntry::make() const {
+  BugScenario copy = *scenario_;
+  copy.image = std::make_shared<KernelImage>(*scenario_->image);
+  return copy;
+}
 
 const std::vector<ScenarioEntry>& AllScenarios() {
-  static const std::vector<ScenarioEntry> kScenarios = {
-      // Table 2 (CVEs).
-      {"CVE-2019-11486", MakeCve2019_11486},
-      {"CVE-2019-6974", MakeCve2019_6974},
-      {"CVE-2018-12232", MakeCve2018_12232},
-      {"CVE-2017-15649", MakeCve2017_15649},
-      {"CVE-2017-10661", MakeCve2017_10661},
-      {"CVE-2017-7533", MakeCve2017_7533},
-      {"CVE-2017-2671", MakeCve2017_2671},
-      {"CVE-2017-2636", MakeCve2017_2636},
-      {"CVE-2016-10200", MakeCve2016_10200},
-      {"CVE-2016-8655", MakeCve2016_8655},
-      // Table 3 (syzkaller bugs).
-      {"syz-01", MakeSyz01L2tpOob},
-      {"syz-02", MakeSyz02PacketAssert},
-      {"syz-03", MakeSyz03Pppol2tpUaf},
-      {"syz-04", MakeSyz04KvmIrqfdUaf},
-      {"syz-05", MakeSyz05RxrpcUaf},
-      {"syz-06", MakeSyz06BpfGpf},
-      {"syz-07", MakeSyz07BlockUaf},
-      {"syz-08", MakeSyz08CanJ1939Refcount},
-      {"syz-09", MakeSyz09SeccompLeak},
-      {"syz-10", MakeSyz10MdAssert},
-      {"syz-11", MakeSyz11FloppyAssert},
-      {"syz-12", MakeSyz12BluetoothScoUaf},
-      // Abstract figures.
-      {"fig-1", MakeFig1},
-      {"fig-5", MakeFig5},
-      {"fig-4b", MakeFig4b},
-      {"fig-4c", MakeFig4c},
-      {"fig-7", MakeFig7},
-      // §4.6 future-work extension: hardware-IRQ contexts.
-      {"ext-irq", MakeExtIrqSerialUaf},
-  };
-  return kScenarios;
+  // Never destroyed, so that a thread still running at exit can use them.
+  static const std::vector<BugScenario>* const kScenarios = [] {
+    auto* scenarios = new std::vector<BugScenario>();
+    for (const CorpusText& text : CorpusTexts()) {
+      scenarios->push_back(Assemble(text));
+    }
+    return scenarios;
+  }();
+  static const std::vector<ScenarioEntry>* const kEntries =
+      new std::vector<ScenarioEntry>(kScenarios->begin(), kScenarios->end());
+  return *kEntries;
 }
 
 std::vector<ScenarioEntry> Table2Scenarios() {

@@ -1,20 +1,32 @@
 // Registry of every modeled bug (Tables 2/3 and the abstract figures).
+//
+// Each scenario is a .ait text, src/bugs/corpus/<id>.ait, compiled into the
+// library. The registry assembles every text once per process and hands out
+// copies.
 
 #ifndef SRC_BUGS_REGISTRY_H_
 #define SRC_BUGS_REGISTRY_H_
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/bugs/scenario.h"
 
 namespace aitia {
 
-using ScenarioFactory = BugScenario (*)();
-
 struct ScenarioEntry {
+  explicit ScenarioEntry(const BugScenario& scenario);
+
+  // A copy of the scenario with its own KernelImage, so that MakeWorkload()
+  // or any other change to one copy never reaches another.
+  BugScenario make() const;
+
   const char* id;
-  ScenarioFactory make;
+
+ private:
+  const BugScenario* scenario_;  // assembled once per process, never changed
 };
 
 // All registered scenarios, in the order of the paper's tables: Table 2
@@ -31,40 +43,12 @@ BugScenario MakeScenario(const std::string& id);
 // Non-aborting lookup; nullptr on unknown id (for CLI / service frontends).
 const ScenarioEntry* FindScenario(const std::string& id);
 
-// --- individual scenario factories ------------------------------------------
-// Abstract figures.
-BugScenario MakeFig1();        // two-variable NULL deref (Figure 1)
-BugScenario MakeFig5();        // LIFS search-tree example (Figure 5)
-BugScenario MakeFig7();        // nested/surrounding ambiguity (Figure 7)
-BugScenario MakeExtIrqSerialUaf();  // hardware-IRQ injection (§4.6 extension)
-BugScenario MakeFig4b();       // single syscall vs its own kworker + RCU (Fig. 4b)
-BugScenario MakeFig4c();       // three contexts chained over three objects (Fig. 4c)
-
-// Table 2: CVEs.
-BugScenario MakeCve2019_11486();
-BugScenario MakeCve2019_6974();
-BugScenario MakeCve2018_12232();
-BugScenario MakeCve2017_15649();
-BugScenario MakeCve2017_10661();
-BugScenario MakeCve2017_7533();
-BugScenario MakeCve2017_2671();
-BugScenario MakeCve2017_2636();
-BugScenario MakeCve2016_10200();
-BugScenario MakeCve2016_8655();
-
-// Table 3: syzkaller-reported bugs.
-BugScenario MakeSyz01L2tpOob();
-BugScenario MakeSyz02PacketAssert();
-BugScenario MakeSyz03Pppol2tpUaf();
-BugScenario MakeSyz04KvmIrqfdUaf();   // Figure 9
-BugScenario MakeSyz05RxrpcUaf();
-BugScenario MakeSyz06BpfGpf();
-BugScenario MakeSyz07BlockUaf();
-BugScenario MakeSyz08CanJ1939Refcount();
-BugScenario MakeSyz09SeccompLeak();
-BugScenario MakeSyz10MdAssert();
-BugScenario MakeSyz11FloppyAssert();
-BugScenario MakeSyz12BluetoothScoUaf();
+// The embedded text of each scenario, in registry order.
+struct CorpusText {
+  const char* id;  // the file name without ".ait"
+  std::string_view text;
+};
+std::span<const CorpusText> CorpusTexts();
 
 }  // namespace aitia
 

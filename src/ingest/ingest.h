@@ -1,9 +1,11 @@
 // Trace ingestion frontend — one-call entry points.
 //
-// This is the data-driven alternative to hand-compiling scenarios against
-// ProgramBuilder: a .ait trace arrives as text (a file, a request body, a
-// fuzzer artifact), is parsed and assembled into a BugScenario, and feeds
-// the same LIFS + Causality pipeline as the built-in corpus.
+// A .ait trace arrives as text (a file, a request body, a fuzzer artifact),
+// is parsed and assembled into a BugScenario, and feeds the LIFS + Causality
+// pipeline. The built-in corpus is the same language: src/bugs/corpus/*.ait,
+// which the registry assembles once per process with ParseTraceText and
+// AssembleScenario directly, so that loading it adds no ingest span or
+// counter. These entry points count and trace every user input.
 
 #ifndef SRC_INGEST_INGEST_H_
 #define SRC_INGEST_INGEST_H_

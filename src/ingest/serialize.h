@@ -1,7 +1,7 @@
 // Serializer: BugScenario -> .ait text.
 //
-// Emits any scenario — hand-built against ProgramBuilder or assembled from a
-// trace — as a parseable .ait document. Labels are reconstructed from branch
+// Emits any scenario — generated against ProgramBuilder (src/gen) or
+// assembled from a trace — as a parseable .ait document. Labels are reconstructed from branch
 // targets as "L<pc>"; a global whose initial value is another global's
 // address round-trips as "&name". serialize(parse(serialize(s))) ==
 // serialize(s) holds for every corpus scenario (golden-tested).

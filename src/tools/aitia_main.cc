@@ -4,9 +4,9 @@
 // runs the full LIFS + Causality pipeline under the supervisor, printing the
 // rendered diagnosis (or JSON with --json).
 //
-//   $ aitia examples/traces/cve_2017_15649.ait
-//   $ aitia --json examples/traces/fig_4b.ait
-//   $ aitia CVE-2017-15649              # corpus id instead of a file
+//   $ aitia src/bugs/corpus/CVE-2017-15649.ait
+//   $ aitia --json examples/traces/gen_abba.ait
+//   $ aitia CVE-2017-15649              # corpus id: the same text, built in
 //   $ aitia --trace out.json fig-1      # Chrome trace-event flight record
 //   $ aitia --metrics fig-1             # metrics summary on stderr
 //   $ aitia --sarif out.sarif fig-1     # SARIF 2.1.0 log for CI annotation

@@ -18,8 +18,8 @@ namespace {
 // scenario through its canonical serialization: ScenarioToAit emits the
 // document, ParseTraceText hands back SourcePos for every instruction, and
 // pc is the index among a program's non-label items (labels are pseudo-ops
-// that assemble to nothing). This works for *any* scenario — hand-built
-// corpus entries included — because serialization is total.
+// that assemble to nothing). This works for *any* scenario — generated
+// ones included — because serialization is total.
 std::map<std::pair<std::string, int>, int> BuildLineMap(const TraceDoc& doc) {
   std::map<std::pair<std::string, int>, int> lines;
   for (const AitProgram& prog : doc.programs) {

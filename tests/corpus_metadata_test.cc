@@ -1,16 +1,28 @@
 // Consistency checks over the scenario corpus itself: ground-truth metadata
-// must reference real programs/globals, and the registry must expose the
-// paper's exact table populations.
+// must reference real programs/globals, the registry must expose the paper's
+// exact table populations and every text in src/bugs/corpus/, and the copies
+// it hands out must not share state.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "src/bugs/registry.h"
+#include "src/ingest/serialize.h"
 
 namespace aitia {
 namespace {
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
 
 class MetadataTest : public ::testing::TestWithParam<std::string> {};
 
@@ -92,8 +104,41 @@ INSTANTIATE_TEST_SUITE_P(AllBugs, MetadataTest, ::testing::ValuesIn(AllIds()),
 TEST(RegistryTest, TablePopulationsMatchThePaper) {
   EXPECT_EQ(Table2Scenarios().size(), 10u);
   EXPECT_EQ(Table3Scenarios().size(), 12u);
-  // 22 evaluated bugs + abstract figures + the IRQ extension.
-  EXPECT_GE(AllScenarios().size(), 26u);
+  // 22 evaluated bugs + five abstract figures + the IRQ extension.
+  EXPECT_EQ(AllScenarios().size(), 28u);
+}
+
+// A text left out of the CMake list would otherwise drop out silently.
+TEST(RegistryTest, EveryCorpusFileIsRegistered) {
+  size_t files = 0;
+  for (const auto& file : std::filesystem::directory_iterator(AITIA_CORPUS_DIR)) {
+    if (file.path().extension() != ".ait") {
+      continue;
+    }
+    ++files;
+    const std::string id = file.path().stem().string();
+    SCOPED_TRACE(id);
+    EXPECT_NE(FindScenario(id), nullptr);
+    bool embedded = false;
+    for (const CorpusText& text : CorpusTexts()) {
+      if (text.id == id) {
+        embedded = true;
+        EXPECT_EQ(text.text, ReadFile(file.path()));
+      }
+    }
+    EXPECT_TRUE(embedded);
+  }
+  EXPECT_EQ(files, AllScenarios().size());
+}
+
+// MakeWorkload() adds the background daemon and its globals to the image it
+// is called on; the next copy must still be the scenario its text describes.
+TEST(RegistryTest, MadeCopiesDoNotShareTheImage) {
+  const BugScenario first = MakeScenario("fig-1");
+  first.MakeWorkload();
+  EXPECT_NE(first.image->FindProgram("bg_stats_daemon"), kNoProgram);
+  EXPECT_EQ(ScenarioToAit(MakeScenario("fig-1")),
+            ReadFile(std::string(AITIA_GOLDEN_DIR) + "/corpus/fig-1.ait"));
 }
 
 TEST(RegistryTest, Table3SplitsMatchSection52) {

@@ -1,7 +1,8 @@
 // End-to-end CLI flight-recorder test: runs the real `aitia` binary with
-// --trace over every checked-in example trace and validates each artifact
-// with the strict JSON checker — plus spot checks that all pipeline phases
-// (ingest, lifs, causality) left spans in the recording.
+// --trace over every checked-in trace (the corpus texts and the example
+// traces) and validates each artifact with the strict JSON checker — plus
+// spot checks that all pipeline phases (ingest, lifs, causality) left spans
+// in the recording, and that a corpus id loads without an ingest span.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,9 @@
 #ifndef AITIA_TRACE_DIR
 #error "AITIA_TRACE_DIR must point at examples/traces"
 #endif
+#ifndef AITIA_CORPUS_DIR
+#error "AITIA_CORPUS_DIR must point at src/bugs/corpus"
+#endif
 
 namespace aitia {
 namespace {
@@ -45,14 +49,16 @@ int RunCli(const std::string& args) {
 #endif
 }
 
-TEST(ObsCliTraceTest, EveryExampleTraceProducesAValidChromeTrace) {
+TEST(ObsCliTraceTest, EveryCheckedInTraceProducesAValidChromeTrace) {
   std::vector<std::filesystem::path> traces;
-  for (const auto& entry : std::filesystem::directory_iterator(AITIA_TRACE_DIR)) {
-    if (entry.path().extension() == ".ait") {
-      traces.push_back(entry.path());
+  for (const char* dir : {AITIA_CORPUS_DIR, AITIA_TRACE_DIR}) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() == ".ait") {
+        traces.push_back(entry.path());
+      }
     }
   }
-  ASSERT_GE(traces.size(), 4u) << "example trace corpus shrank";
+  ASSERT_GE(traces.size(), 30u) << "checked-in trace set shrank";
 
   int index = 0;
   for (const std::filesystem::path& trace : traces) {
@@ -77,6 +83,20 @@ TEST(ObsCliTraceTest, EveryExampleTraceProducesAValidChromeTrace) {
     EXPECT_NE(json.find("\"cat\": \"pipeline\""), std::string::npos);
     std::filesystem::remove(out);
   }
+}
+
+// The registry assembles its texts without the instrumented ingest entry
+// point, so loading a corpus id adds nothing to the ingest spans or counters.
+TEST(ObsCliTraceTest, CorpusIdRecordsNoIngestSpan) {
+  const std::string out = "obs_cli_trace_corpus_id.json";
+  std::filesystem::remove(out);
+  const int exit_code = RunCli("--trace " + out + " fig-1 > /dev/null 2>&1");
+  EXPECT_EQ(exit_code, 0);
+  const std::string json = ReadFile(out);
+  ASSERT_FALSE(json.empty()) << "no trace artifact written";
+  EXPECT_NE(json.find("\"cat\": \"lifs\""), std::string::npos);
+  EXPECT_EQ(json.find("\"cat\": \"ingest\""), std::string::npos);
+  std::filesystem::remove(out);
 }
 
 TEST(ObsCliTraceTest, MetricsFlagPrintsASummary) {
