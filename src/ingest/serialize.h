@@ -1,10 +1,11 @@
 // Serializer: BugScenario -> .ait text.
 //
 // Emits any scenario — generated against ProgramBuilder (src/gen) or
-// assembled from a trace — as a parseable .ait document. Labels are reconstructed from branch
-// targets as "L<pc>"; a global whose initial value is another global's
-// address round-trips as "&name". serialize(parse(serialize(s))) ==
-// serialize(s) holds for every corpus scenario (golden-tested).
+// assembled from a trace — as a parseable .ait document. Labels are
+// reconstructed from branch targets as "L<pc>"; a global whose initial value
+// is another global's address round-trips as "&name".
+// serialize(parse(serialize(s))) == serialize(s) holds for every corpus
+// scenario (golden-tested).
 
 #ifndef SRC_INGEST_SERIALIZE_H_
 #define SRC_INGEST_SERIALIZE_H_

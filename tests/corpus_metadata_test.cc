@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -119,14 +120,11 @@ TEST(RegistryTest, EveryCorpusFileIsRegistered) {
     const std::string id = file.path().stem().string();
     SCOPED_TRACE(id);
     EXPECT_NE(FindScenario(id), nullptr);
-    bool embedded = false;
-    for (const CorpusText& text : CorpusTexts()) {
-      if (text.id == id) {
-        embedded = true;
-        EXPECT_EQ(text.text, ReadFile(file.path()));
-      }
-    }
-    EXPECT_TRUE(embedded);
+    const std::span<const CorpusText> texts = CorpusTexts();
+    const auto text = std::find_if(texts.begin(), texts.end(),
+                                   [&](const CorpusText& t) { return t.id == id; });
+    ASSERT_NE(text, texts.end());
+    EXPECT_EQ(text->text, ReadFile(file.path()));
   }
   EXPECT_EQ(files, AllScenarios().size());
 }
