@@ -238,14 +238,15 @@ int main(int argc, char** argv) {
   };
 
   // A corpus id is accepted wherever a trace file is: ids never name
-  // readable files, so the file path wins when both could apply.
+  // readable files, so the file path wins when both could apply. The id is
+  // looked up only then, so a file input never assembles the corpus.
   BugScenario scenario;
-  const ScenarioEntry* entry = FindScenario(input);
   StatusOr<BugScenario> loaded = ScenarioFromAitFile(input);
+  const ScenarioEntry* entry =
+      loaded.status().code() == StatusCode::kNotFound ? FindScenario(input) : nullptr;
   if (loaded.ok()) {
     scenario = *std::move(loaded);
-  } else if (entry != nullptr &&
-             loaded.status().code() == StatusCode::kNotFound) {
+  } else if (entry != nullptr) {
     scenario = entry->make();
   } else {
     std::fprintf(stderr, "aitia: %s\n", loaded.status().ToString().c_str());
