@@ -1,5 +1,6 @@
 // Convenience wrapper: diagnose a bundled scenario with its ground-truth
-// symptom type and IRQ lines applied to the options.
+// symptom type and IRQ lines applied to the options, under `ctx` as
+// DiagnoseSlice does.
 
 #ifndef SRC_BUGS_DIAGNOSE_H_
 #define SRC_BUGS_DIAGNOSE_H_
@@ -9,7 +10,8 @@
 
 namespace aitia {
 
-AitiaReport DiagnoseScenario(const BugScenario& scenario, AitiaOptions options = {});
+AitiaReport DiagnoseScenario(const BugScenario& scenario, AitiaOptions options = {},
+                             DiagContext* ctx = nullptr);
 
 }  // namespace aitia
 

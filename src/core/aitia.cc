@@ -9,29 +9,6 @@
 
 namespace aitia {
 
-AitiaOptions& AitiaOptions::set_deadline(double seconds) {
-  if (seconds > 0) {
-    lifs.search_deadline_seconds = seconds;
-    lifs.supervisor.deadline_seconds = seconds;
-    causality.supervisor.deadline_seconds = seconds;
-  }
-  return *this;
-}
-
-AitiaOptions& AitiaOptions::set_cancel(std::function<bool()> cancel) {
-  lifs.supervisor.cancel = cancel;
-  causality.supervisor.cancel = std::move(cancel);
-  return *this;
-}
-
-AitiaOptions& AitiaOptions::set_event_scope(uint64_t scope) {
-  lifs.event_scope = scope;
-  lifs.supervisor.event_scope = scope;
-  causality.event_scope = scope;
-  causality.supervisor.event_scope = scope;
-  return *this;
-}
-
 std::string AitiaReport::Render(const KernelImage& image) const {
   std::string out;
   if (!diagnosed) {
@@ -122,20 +99,20 @@ void FinalizeReport(AitiaReport& report) {
 }
 
 AitiaReport DiagnoseSliceImpl(const KernelImage& image, const std::vector<ThreadSpec>& slice,
-                              const std::vector<ThreadSpec>& setup,
-                              const AitiaOptions& options) {
+                              const std::vector<ThreadSpec>& setup, const AitiaOptions& options,
+                              DiagContext& ctx) {
   AitiaReport report;
   report.slices_tried = 1;
   report.used_slice.threads = slice;
   report.used_slice.setup = setup;
 
-  Lifs lifs(&image, slice, setup, options.lifs);
+  Lifs lifs(&image, slice, setup, options.lifs, &ctx);
   report.lifs = lifs.Run();
   if (!report.lifs.reproduced) {
     FinalizeReport(report);
     return report;
   }
-  CausalityAnalysis ca(&image, slice, setup, &report.lifs, options.causality);
+  CausalityAnalysis ca(&image, slice, setup, &report.lifs, options.causality, &ctx);
   report.causality = ca.Run();
   report.diagnosed = true;
   FinalizeReport(report);
@@ -143,7 +120,7 @@ AitiaReport DiagnoseSliceImpl(const KernelImage& image, const std::vector<Thread
 }
 
 AitiaReport DiagnoseHistoryImpl(const KernelImage& image, const ExecutionHistory& history,
-                                const AitiaOptions& options) {
+                                const AitiaOptions& options, DiagContext& ctx) {
   AitiaReport report;
   std::vector<Slice> slices = BuildSlices(history, options.slicer);
   if (slices.size() > options.max_slices) {
@@ -157,7 +134,7 @@ AitiaReport DiagnoseHistoryImpl(const KernelImage& image, const ExecutionHistory
 
   for (const Slice& slice : slices) {
     ++report.slices_tried;
-    Lifs lifs(&image, slice.threads, slice.setup, slice_options.lifs);
+    Lifs lifs(&image, slice.threads, slice.setup, slice_options.lifs, &ctx);
     LifsResult result = lifs.Run();
     if (!result.reproduced) {
       // Remember why the most recent attempt came up empty; budget-cut
@@ -171,7 +148,7 @@ AitiaReport DiagnoseHistoryImpl(const KernelImage& image, const ExecutionHistory
     report.used_slice = slice;
     report.lifs = std::move(result);
     CausalityAnalysis ca(&image, slice.threads, slice.setup, &report.lifs,
-                         slice_options.causality);
+                         slice_options.causality, &ctx);
     report.causality = ca.Run();
     report.diagnosed = true;
     FinalizeReport(report);
@@ -180,39 +157,41 @@ AitiaReport DiagnoseHistoryImpl(const KernelImage& image, const ExecutionHistory
   return report;
 }
 
-}  // namespace
-
-AitiaReport DiagnoseSlice(const KernelImage& image, const std::vector<ThreadSpec>& slice,
-                          const std::vector<ThreadSpec>& setup, const AitiaOptions& options) {
-  // Per-diagnosis metrics as a delta of the process-wide registry (see
-  // AitiaReport::metrics). Observability stays read-side — nothing below
-  // consults the registry or the tracer to make a decision.
-  const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
+// Runs `impl` under the caller's context or a fresh one, then copies the
+// context's counts into the report and merges them into the process-wide
+// registry: the one place a diagnosis's metrics leave it.
+template <typename Impl>
+AitiaReport Diagnose(const char* span_name, DiagContext* ctx, const Impl& impl) {
+  DiagContext fresh;
+  DiagContext& c = ctx != nullptr ? *ctx : fresh;
   AitiaReport report;
   {
-    obs::Span span("pipeline", "aitia.diagnose_slice");
-    report = DiagnoseSliceImpl(image, slice, setup, options);
+    obs::Span span("pipeline", span_name);
+    report = impl(c);
     span.Arg("diagnosed", report.diagnosed)
         .Arg("degraded", report.degraded)
         .Arg("slices_tried", static_cast<int64_t>(report.slices_tried));
   }
-  report.metrics = obs::MetricsRegistry::Global().Snapshot().Delta(before);
+  obs::MetricsRegistry::Global().Merge(c.metrics);
+  report.metrics = c.metrics;
   return report;
 }
 
+}  // namespace
+
+AitiaReport DiagnoseSlice(const KernelImage& image, const std::vector<ThreadSpec>& slice,
+                          const std::vector<ThreadSpec>& setup, const AitiaOptions& options,
+                          DiagContext* ctx) {
+  return Diagnose("aitia.diagnose_slice", ctx, [&](DiagContext& c) {
+    return DiagnoseSliceImpl(image, slice, setup, options, c);
+  });
+}
+
 AitiaReport DiagnoseHistory(const KernelImage& image, const ExecutionHistory& history,
-                            const AitiaOptions& options) {
-  const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
-  AitiaReport report;
-  {
-    obs::Span span("pipeline", "aitia.diagnose_history");
-    report = DiagnoseHistoryImpl(image, history, options);
-    span.Arg("diagnosed", report.diagnosed)
-        .Arg("degraded", report.degraded)
-        .Arg("slices_tried", static_cast<int64_t>(report.slices_tried));
-  }
-  report.metrics = obs::MetricsRegistry::Global().Snapshot().Delta(before);
-  return report;
+                            const AitiaOptions& options, DiagContext* ctx) {
+  return Diagnose("aitia.diagnose_history", ctx, [&](DiagContext& c) {
+    return DiagnoseHistoryImpl(image, history, options, c);
+  });
 }
 
 }  // namespace aitia

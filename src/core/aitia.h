@@ -14,12 +14,12 @@
 #ifndef SRC_CORE_AITIA_H_
 #define SRC_CORE_AITIA_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/core/causality.h"
 #include "src/core/lifs.h"
+#include "src/hv/diag_context.h"
 #include "src/obs/metrics.h"
 #include "src/trace/history.h"
 #include "src/trace/slicer.h"
@@ -33,23 +33,6 @@ struct AitiaOptions {
   // Cap on candidate slices attempted. Slices are tried one after another,
   // backward from the failure, stopping at the first reproduction.
   size_t max_slices = 16;
-
-  // Applies one wall-clock budget (seconds) across the pipeline: the LIFS
-  // search deadline plus the per-run supervisor deadlines of both stages.
-  // Expiry degrades the diagnosis (kInconclusive flips, non-ok report
-  // status) instead of wedging the caller; 0 is a no-op.
-  AitiaOptions& set_deadline(double seconds);
-
-  // Installs one cooperative cancellation probe on both supervised stages
-  // (see SupervisorOptions::cancel). The service layer points this at its
-  // drain flag so in-flight diagnoses deadline-out instead of blocking exit.
-  AitiaOptions& set_cancel(std::function<bool()> cancel);
-
-  // Tags every stage of this diagnosis with one progress-event scope
-  // (src/obs/events.h) so the daemon's streaming relay sees only its own
-  // request's lifecycle events. 0 (the default) publishes nothing; events
-  // are pure write-side observability either way.
-  AitiaOptions& set_event_scope(uint64_t scope);
 };
 
 struct AitiaReport {
@@ -69,24 +52,31 @@ struct AitiaReport {
   Slice used_slice;
   LifsResult lifs;
   CausalityResult causality;
-  // Delta of the process-wide metrics registry: the facade snapshots it
-  // before the pipeline and subtracts it after. While other diagnoses run in
-  // the same process their counts land in this delta too, so it is exact
-  // only for a diagnosis that ran alone (a per-diagnosis ledger is on the
-  // ROADMAP).
+  // This diagnosis's own lifs.*, causality.* and supervisor.* counts, copied
+  // from its DiagContext: exact at any concurrency, and summed over every
+  // slice a history diagnosis tried.
   obs::MetricsSnapshot metrics;
 
   // Full human-readable diagnosis (races, verdicts, chain).
   std::string Render(const KernelImage& image) const;
 };
 
+// Both entry points run one diagnosis under `ctx` (src/hv/diag_context.h):
+// its deadline and cancel probe bound every stage — expiry degrades the
+// report (kInconclusive flips, a non-ok status) instead of wedging the
+// caller — and its event scope tags every stage's events. A caller that
+// passes none gets a fresh context. The context's counts become
+// AitiaReport::metrics and are merged into the process-wide registry once.
+
 // Diagnoses a known concurrent group directly (skips modeling).
 AitiaReport DiagnoseSlice(const KernelImage& image, const std::vector<ThreadSpec>& slice,
-                          const std::vector<ThreadSpec>& setup, const AitiaOptions& options = {});
+                          const std::vector<ThreadSpec>& setup, const AitiaOptions& options = {},
+                          DiagContext* ctx = nullptr);
 
-// The full pipeline from a bug-finder's execution history.
+// The full pipeline from a bug-finder's execution history. One context
+// serves every slice it tries.
 AitiaReport DiagnoseHistory(const KernelImage& image, const ExecutionHistory& history,
-                            const AitiaOptions& options = {});
+                            const AitiaOptions& options = {}, DiagContext* ctx = nullptr);
 
 }  // namespace aitia
 

@@ -5,41 +5,11 @@
 #include <set>
 
 #include "src/obs/events.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/log.h"
 #include "src/util/stopwatch.h"
 
 namespace aitia {
-namespace {
-
-struct CausalityMetrics {
-  obs::Counter* analyses;
-  obs::Counter* flip_tests;
-  obs::Counter* root_cause;
-  obs::Counter* benign;
-  obs::Counter* inconclusive;
-  obs::Counter* ambiguous;
-  obs::Counter* us;
-
-  static const CausalityMetrics& Get() {
-    static const CausalityMetrics* const m = [] {
-      auto& reg = obs::MetricsRegistry::Global();
-      auto* cm = new CausalityMetrics();
-      cm->analyses = reg.GetCounter("causality.analyses");
-      cm->flip_tests = reg.GetCounter("causality.flip_tests");
-      cm->root_cause = reg.GetCounter("causality.verdicts.root_cause");
-      cm->benign = reg.GetCounter("causality.verdicts.benign");
-      cm->inconclusive = reg.GetCounter("causality.verdicts.inconclusive");
-      cm->ambiguous = reg.GetCounter("causality.verdicts.ambiguous");
-      cm->us = reg.GetCounter("causality.us");
-      return cm;
-    }();
-    return *m;
-  }
-};
-
-}  // namespace
 
 const char* RaceVerdictName(RaceVerdict verdict) {
   switch (verdict) {
@@ -53,12 +23,14 @@ const char* RaceVerdictName(RaceVerdict verdict) {
 
 CausalityAnalysis::CausalityAnalysis(const KernelImage* image, std::vector<ThreadSpec> slice,
                                      std::vector<ThreadSpec> setup, const LifsResult* lifs,
-                                     CausalityOptions options)
+                                     CausalityOptions options, DiagContext* ctx)
     : image_(image),
       slice_(std::move(slice)),
       setup_(std::move(setup)),
       lifs_(lifs),
-      options_(options) {}
+      options_(options),
+      own_ctx_(ctx == nullptr ? std::make_unique<DiagContext>() : nullptr),
+      ctx_(ctx == nullptr ? own_ctx_.get() : ctx) {}
 
 TotalOrderSchedule CausalityAnalysis::BuildFlip(const TestItem& item) const {
   const auto& trace = lifs_->failing_run.trace;
@@ -291,9 +263,7 @@ CausalityResult CausalityAnalysis::Run() {
   });
 
   // Flip tests run in index order under supervision.
-  SupervisorOptions so = options_.supervisor;
-  so.max_steps = options_.max_steps_per_run;
-  Supervisor supervisor(image_, so);
+  Supervisor supervisor(image_, {options_.max_steps_per_run}, ctx_);
   std::vector<RunResult> flip_runs(items.size());
   std::vector<Status> flip_status(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
@@ -311,7 +281,7 @@ CausalityResult CausalityAnalysis::Run() {
       flip_status[i] = er.status();
     }
     span.Arg("ok", flip_status[i].ok());
-    obs::PublishDiagEvent(options_.event_scope, obs::DiagPhase::kFlipTested, "ca.flip",
+    obs::PublishDiagEvent(ctx_->event_scope, obs::DiagPhase::kFlipTested, "ca.flip",
                           RaceLabel(*image_, items[i].race),
                           {{"index", static_cast<int64_t>(i)},
                            {"total", static_cast<int64_t>(items.size())},
@@ -386,8 +356,8 @@ CausalityResult CausalityAnalysis::Run() {
   // Final verdicts are now settled (ambiguity upgrades included) — emit one
   // instant per race so the trace shows the per-decision outcome alongside
   // the flip spans, plus the per-verdict counters.
+  obs::MetricsSnapshot& m = ctx_->metrics;
   {
-    const CausalityMetrics& m = CausalityMetrics::Get();
     int64_t root_cause_count = 0;
     int64_t ambiguous_count = 0;
     for (size_t i = 0; i < result.tested.size(); ++i) {
@@ -398,20 +368,21 @@ CausalityResult CausalityAnalysis::Run() {
           .Arg("verdict", RaceVerdictName(t.verdict))
           .Arg("phantom", t.phantom)
           .Arg("critical_section", t.race.cs_pair);
-      if (options_.event_scope != 0 && obs::EventBus::Global().active()) {
-        obs::PublishDiagEvent(options_.event_scope, obs::DiagPhase::kVerdict, "ca.verdict",
+      if (ctx_->event_scope != 0 && obs::EventBus::Global().active()) {
+        obs::PublishDiagEvent(ctx_->event_scope, obs::DiagPhase::kVerdict, "ca.verdict",
                               RaceLabel(*image_, t.race) + " " + RaceVerdictName(t.verdict),
                               {{"index", static_cast<int64_t>(i)}});
       }
       root_cause_count += t.verdict == RaceVerdict::kRootCause ? 1 : 0;
       ambiguous_count += t.verdict == RaceVerdict::kAmbiguous ? 1 : 0;
     }
-    m.analyses->Increment();
-    m.flip_tests->Add(result.schedules_executed);
-    m.root_cause->Add(root_cause_count);
-    m.benign->Add(result.benign_count);
-    m.inconclusive->Add(result.inconclusive_count);
-    m.ambiguous->Add(ambiguous_count);
+    m.counters["causality.analyses"] += 1;
+    m.counters["causality.flip_tests"] += result.schedules_executed;
+    m.counters["causality.verdicts.root_cause"] += root_cause_count;
+    m.counters["causality.verdicts.benign"] += result.benign_count;
+    m.counters["causality.verdicts.inconclusive"] += result.inconclusive_count;
+    m.counters["causality.verdicts.ambiguous"] += ambiguous_count;
+    result.budget.AddTo(m);
   }
 
   // Chain construction from the disappearance relation among root causes.
@@ -444,7 +415,7 @@ CausalityResult CausalityAnalysis::Run() {
   }
   result.chain = CausalityChain::Build(root_races, disappears, ambiguous_flags, symptom);
   result.seconds = watch.ElapsedSeconds();
-  CausalityMetrics::Get().us->Add(static_cast<int64_t>(result.seconds * 1e6));
+  m.counters["causality.us"] += static_cast<int64_t>(result.seconds * 1e6);
   analysis_span.Arg("tests", result.schedules_executed)
       .Arg("root_causes", result.root_cause_indices.size())
       .Arg("degraded", result.degraded);

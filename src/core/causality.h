@@ -21,11 +21,13 @@
 #define SRC_CORE_CAUSALITY_H_
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "src/analysis/races.h"
 #include "src/core/chain.h"
 #include "src/core/lifs.h"
+#include "src/hv/diag_context.h"
 #include "src/hv/enforcer.h"
 #include "src/hv/supervisor.h"
 #include "src/util/status.h"
@@ -35,13 +37,6 @@ namespace aitia {
 struct CausalityOptions {
   int64_t max_steps_per_run = 200000;
   size_t max_tests = 256;
-  // Supervised execution of flip tests: deadline, cancellation, watchdog.
-  // `supervisor.max_steps` is overridden by max_steps_per_run. A flip test
-  // whose run is lost is reported kInconclusive — never benign.
-  SupervisorOptions supervisor;
-  // Progress-event scope (src/obs/events.h): nonzero tags flip-tested /
-  // verdict events for streaming subscribers; 0 publishes nothing.
-  uint64_t event_scope = 0;
 };
 
 enum class RaceVerdict {
@@ -94,9 +89,11 @@ struct CausalityResult {
 
 class CausalityAnalysis {
  public:
+  // `ctx` (not owned) is the diagnosis the analysis belongs to (see
+  // src/hv/diag_context.h); without one it uses a fresh context of its own.
   CausalityAnalysis(const KernelImage* image, std::vector<ThreadSpec> slice,
                     std::vector<ThreadSpec> setup, const LifsResult* lifs,
-                    CausalityOptions options);
+                    CausalityOptions options, DiagContext* ctx = nullptr);
 
   CausalityResult Run();
 
@@ -122,6 +119,8 @@ class CausalityAnalysis {
   std::vector<ThreadSpec> setup_;
   const LifsResult* lifs_;
   CausalityOptions options_;
+  std::unique_ptr<DiagContext> own_ctx_;  // set when the caller passed none
+  DiagContext* ctx_;
 };
 
 }  // namespace aitia

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "src/obs/events.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/log.h"
 #include "src/util/stopwatch.h"
@@ -17,43 +16,6 @@
 
 namespace aitia {
 namespace {
-
-// Registry lookups cached once per process; the increments themselves are
-// per-thread sharded relaxed atomics (src/obs/metrics.h), so publishing
-// search totals here never contends with concurrent diagnoses.
-struct LifsMetrics {
-  obs::Counter* searches;
-  obs::Counter* reproduced;
-  obs::Counter* schedules_executed;
-  obs::Counter* schedules_pruned;
-  obs::Counter* aborted_runs;
-  obs::Counter* discovery_us;
-  obs::Counter* depth_us;
-  obs::Histogram* preemption_points;
-
-  static const LifsMetrics& Get() {
-    static const LifsMetrics* const m = [] {
-      auto& reg = obs::MetricsRegistry::Global();
-      auto* lm = new LifsMetrics();
-      lm->searches = reg.GetCounter("lifs.searches");
-      lm->reproduced = reg.GetCounter("lifs.reproduced");
-      lm->schedules_executed = reg.GetCounter("lifs.schedules_executed");
-      lm->schedules_pruned = reg.GetCounter("lifs.schedules_pruned");
-      lm->aborted_runs = reg.GetCounter("lifs.aborted_runs");
-      lm->discovery_us = reg.GetCounter("lifs.discovery_us");
-      lm->depth_us = reg.GetCounter("lifs.depth_us");
-      lm->preemption_points = reg.GetHistogram("lifs.preemption_points", {0, 1, 2, 3, 4, 8});
-      return lm;
-    }();
-    return *m;
-  }
-};
-
-SupervisorOptions LifsSupervisorOptions(const LifsOptions& options) {
-  SupervisorOptions so = options.supervisor;
-  so.max_steps = options.max_steps_per_run;
-  return so;
-}
 
 // Access-pattern fingerprint of one run (keep_explored only).
 std::string TraceFingerprint(const RunResult& run) {
@@ -300,12 +262,14 @@ class Lifs::PassFrontier {
 };
 
 Lifs::Lifs(const KernelImage* image, std::vector<ThreadSpec> slice,
-           std::vector<ThreadSpec> setup, LifsOptions options)
+           std::vector<ThreadSpec> setup, LifsOptions options, DiagContext* ctx)
     : image_(image),
       slice_(std::move(slice)),
       setup_(std::move(setup)),
-      options_(options),
-      supervisor_(image, LifsSupervisorOptions(options)) {
+      options_(std::move(options)),
+      own_ctx_(ctx == nullptr ? std::make_unique<DiagContext>() : nullptr),
+      ctx_(ctx == nullptr ? own_ctx_.get() : ctx),
+      supervisor_(image, {options_.max_steps_per_run}, ctx_) {
   // A repeated IRQ line adds no schedule: keep its first occurrence.
   std::set<std::pair<ProgramId, Word>> lines;
   std::erase_if(options_.irq_lines,
@@ -319,19 +283,11 @@ bool Lifs::SearchCutShort() {
   if (result_.schedules_executed >= options_.max_schedules) {
     return true;
   }
-  if (options_.search_deadline_seconds > 0 &&
-      search_watch_.ElapsedSeconds() > options_.search_deadline_seconds) {
-    result_.status = Status::DeadlineExceeded("LIFS search exceeded wall-clock deadline");
-    return true;
-  }
-  // The supervisor-level cancel probe also cuts the search itself short, so
-  // a draining service unwinds within one run instead of enumerating the
-  // rest of the schedule budget as no-op cancelled runs.
-  if (options_.supervisor.cancel && options_.supervisor.cancel()) {
-    result_.status = Status::Cancelled("LIFS search cancelled");
-    return true;
-  }
-  return false;
+  // An interrupted diagnosis stops the search itself, so it unwinds within
+  // one run instead of enumerating the rest of the schedule budget as lost
+  // runs.
+  result_.status = ctx_->Interrupted();
+  return !result_.status.ok();
 }
 
 bool Lifs::MatchesTarget(const std::optional<Failure>& failure) const {
@@ -412,7 +368,8 @@ bool Lifs::Execute(const PreemptionSchedule& schedule, int interleavings) {
   const RunResult& run = supervised->run;
   Learn(run);
   const bool matched = MatchesTarget(run.failure);
-  LifsMetrics::Get().preemption_points->Record(static_cast<int64_t>(schedule.points.size()));
+  ctx_->metrics.Record("lifs.preemption_points", {0, 1, 2, 3, 4, 8},
+                       static_cast<int64_t>(schedule.points.size()));
   if (options_.keep_explored) {
     const bool fresh = fingerprints_.insert(TraceFingerprint(run)).second;
     result_.explored.push_back(
@@ -423,7 +380,7 @@ bool Lifs::Execute(const PreemptionSchedule& schedule, int interleavings) {
         .Arg("k", interleavings)
         .Arg("points", schedule.points.size())
         .Arg("schedule", schedule.ToString());
-    obs::PublishDiagEvent(options_.event_scope, obs::DiagPhase::kLifs, "lifs.reproduced",
+    obs::PublishDiagEvent(ctx_->event_scope, obs::DiagPhase::kLifs, "lifs.reproduced",
                           schedule.ToString(),
                           {{"interleavings", interleavings},
                            {"schedules_executed", result_.schedules_executed}});
@@ -515,7 +472,6 @@ void Lifs::FinalizeFailingRun(const RunResult& run, const PreemptionSchedule& sc
 
 LifsResult Lifs::Run() {
   obs::Span span("lifs", "lifs.search");
-  search_watch_.Reset();
   RunSearch();
   result_.budget = supervisor_.budget();
   span.Arg("reproduced", result_.reproduced)
@@ -524,18 +480,17 @@ LifsResult Lifs::Run() {
       .Arg("pruned", result_.schedules_pruned)
       .Arg("aborted", result_.aborted_runs);
 
-  // Publish the search totals once, from the authoritative LifsResult
+  // Record the search totals once, from the authoritative LifsResult
   // counters — report.metrics.lifs.* can never drift from LifsResult.
-  const LifsMetrics& m = LifsMetrics::Get();
-  m.searches->Increment();
-  if (result_.reproduced) {
-    m.reproduced->Increment();
-  }
-  m.schedules_executed->Add(result_.schedules_executed);
-  m.schedules_pruned->Add(result_.schedules_pruned);
-  m.aborted_runs->Add(result_.aborted_runs);
-  m.discovery_us->Add(static_cast<int64_t>(result_.discovery_seconds * 1e6));
-  m.depth_us->Add(static_cast<int64_t>(result_.depth_seconds * 1e6));
+  obs::MetricsSnapshot& m = ctx_->metrics;
+  m.counters["lifs.searches"] += 1;
+  m.counters["lifs.reproduced"] += result_.reproduced ? 1 : 0;
+  m.counters["lifs.schedules_executed"] += result_.schedules_executed;
+  m.counters["lifs.schedules_pruned"] += result_.schedules_pruned;
+  m.counters["lifs.aborted_runs"] += result_.aborted_runs;
+  m.counters["lifs.discovery_us"] += static_cast<int64_t>(result_.discovery_seconds * 1e6);
+  m.counters["lifs.depth_us"] += static_cast<int64_t>(result_.depth_seconds * 1e6);
+  result_.budget.AddTo(m);
   return result_;
 }
 
@@ -632,7 +587,7 @@ LifsResult Lifs::RunSearch() {
 
   result_.discovery_seconds = watch.ElapsedSeconds();
   discovery_done = true;
-  obs::PublishDiagEvent(options_.event_scope, obs::DiagPhase::kLifs, "lifs.discovery", "",
+  obs::PublishDiagEvent(ctx_->event_scope, obs::DiagPhase::kLifs, "lifs.discovery", "",
                         {{"schedules_executed", result_.schedules_executed}});
 
   for (int k = 1; k <= options_.max_interleavings; ++k) {
@@ -665,7 +620,7 @@ LifsResult Lifs::RunSearch() {
             .Arg("depth", k);
       }
 
-      obs::PublishDiagEvent(options_.event_scope, obs::DiagPhase::kLifs, "lifs.pass", "",
+      obs::PublishDiagEvent(ctx_->event_scope, obs::DiagPhase::kLifs, "lifs.pass", "",
                             {{"depth", k},
                              {"candidates", static_cast<int64_t>(candidates.size())},
                              {"schedules_executed", result_.schedules_executed}});

@@ -25,6 +25,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -32,11 +33,11 @@
 #include <vector>
 
 #include "src/analysis/races.h"
+#include "src/hv/diag_context.h"
 #include "src/hv/enforcer.h"
 #include "src/hv/supervisor.h"
 #include "src/sim/kernel.h"
 #include "src/util/status.h"
-#include "src/util/stopwatch.h"
 
 namespace aitia {
 
@@ -58,17 +59,6 @@ struct LifsOptions {
   // when its run's access trace equals an earlier run's (Figure 5, the
   // explored-order goldens). Only this option fingerprints the runs' traces.
   bool keep_explored = false;
-  // Supervised execution: per-run deadline, cancellation and livelock
-  // watchdog. `supervisor.max_steps` is overridden by max_steps_per_run.
-  SupervisorOptions supervisor;
-  // Wall-clock deadline for the whole search; 0 disables. On expiry the
-  // search stops with result.status = kDeadlineExceeded (not reproduced).
-  double search_deadline_seconds = 0;
-  // Progress-event scope (src/obs/events.h): nonzero tags this search's
-  // lifecycle events so a streaming subscriber sees only its own request.
-  // 0 (the default) publishes nothing. Events are write-only observability;
-  // the search never reads them back.
-  uint64_t event_scope = 0;
 };
 
 struct ExploredSchedule {
@@ -117,10 +107,10 @@ struct LifsResult {
   int interleaving_count = 0;
   int64_t schedules_executed = 0;
   int64_t schedules_pruned = 0;  // skipped as equivalent before running
-  // Non-ok when the search was cut short (search deadline, cancellation) or
-  // could not run at all (kInvalidArgument: the setup phase faulted or
-  // outran its step budget); `reproduced` stays the primary signal — status
-  // explains *why* it is false.
+  // Non-ok when the search was cut short (the diagnosis's deadline or cancel
+  // probe) or could not run at all (kInvalidArgument: the setup phase
+  // faulted or outran its step budget); `reproduced` stays the primary
+  // signal — status explains *why* it is false.
   Status status;
   // Runs lost to supervision (deadline, cancellation, watchdog); the search
   // skips them.
@@ -139,8 +129,10 @@ struct LifsResult {
 
 class Lifs {
  public:
+  // `ctx` (not owned) is the diagnosis the search belongs to (see
+  // src/hv/diag_context.h); without one it uses a fresh context of its own.
   Lifs(const KernelImage* image, std::vector<ThreadSpec> slice, std::vector<ThreadSpec> setup,
-       LifsOptions options);
+       LifsOptions options, DiagContext* ctx = nullptr);
 
   LifsResult Run();
 
@@ -167,7 +159,8 @@ class Lifs {
   void FinalizeFailingRun(const RunResult& run, const PreemptionSchedule& schedule,
                           int interleavings);
 
-  // True when the search must stop (schedule budget or search deadline).
+  // True when the search must stop (schedule budget, or the diagnosis was
+  // interrupted).
   bool SearchCutShort();
   // The search proper; Run() wraps it to finalize budget accounting.
   LifsResult RunSearch();
@@ -176,8 +169,9 @@ class Lifs {
   std::vector<ThreadSpec> slice_;
   std::vector<ThreadSpec> setup_;
   LifsOptions options_;
+  std::unique_ptr<DiagContext> own_ctx_;  // set when the caller passed none
+  DiagContext* ctx_;
   Supervisor supervisor_;
-  Stopwatch search_watch_;
 
   // Known accesses per thread in discovery order, and the set of their
   // dynamic instructions for the seen-check.

@@ -29,8 +29,8 @@ std::string ReportToJson(const AitiaReport& report, const KernelImage& image) {
       static_cast<long long>(report.lifs.schedules_executed),
       static_cast<long long>(report.lifs.schedules_pruned), report.lifs.seconds);
 
-  // Always emitted, even for undiagnosed reports: the metrics delta is the
-  // flight-recorder readout of what the pipeline actually did.
+  // Always emitted, even for undiagnosed reports: the diagnosis's own
+  // metrics are the flight-recorder readout of what the pipeline did.
   json += ", \"metrics\": " + report.metrics.ToJson();
 
   if (!report.diagnosed) {

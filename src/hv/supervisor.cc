@@ -1,44 +1,10 @@
 #include "src/hv/supervisor.h"
 
-#include <utility>
-
 #include "src/obs/events.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/util/stopwatch.h"
 #include "src/util/strings.h"
 
 namespace aitia {
-namespace {
-
-struct SupervisorMetrics {
-  obs::Counter* attempts;
-  obs::Counter* completed;
-  obs::Counter* exhausted;
-  obs::Counter* deadline_expirations;
-  obs::Counter* watchdog_trips;
-  obs::Counter* steps;
-  obs::Histogram* run_steps;
-
-  static const SupervisorMetrics& Get() {
-    static const SupervisorMetrics* const m = [] {
-      auto& reg = obs::MetricsRegistry::Global();
-      auto* sm = new SupervisorMetrics();
-      sm->attempts = reg.GetCounter("supervisor.attempts");
-      sm->completed = reg.GetCounter("supervisor.completed");
-      sm->exhausted = reg.GetCounter("supervisor.exhausted");
-      sm->deadline_expirations = reg.GetCounter("supervisor.deadline_expirations");
-      sm->watchdog_trips = reg.GetCounter("supervisor.watchdog_trips");
-      sm->steps = reg.GetCounter("supervisor.steps");
-      sm->run_steps =
-          reg.GetHistogram("supervisor.run_steps", {100, 1000, 10000, 100000, 1000000});
-      return sm;
-    }();
-    return *m;
-  }
-};
-
-}  // namespace
 
 std::string RunBudget::ToString() const {
   return StrFormat(
@@ -48,47 +14,38 @@ std::string RunBudget::ToString() const {
       static_cast<long long>(watchdog_trips), static_cast<long long>(steps));
 }
 
+void RunBudget::AddTo(obs::MetricsSnapshot& metrics) const {
+  metrics.counters["supervisor.attempts"] += attempts;
+  metrics.counters["supervisor.completed"] += completed;
+  metrics.counters["supervisor.exhausted"] += exhausted;
+  metrics.counters["supervisor.deadline_expirations"] += deadline_expirations;
+  metrics.counters["supervisor.watchdog_trips"] += watchdog_trips;
+  metrics.counters["supervisor.steps"] += steps;
+}
+
 StatusOr<EnforceResult> Supervisor::Supervise(const RunFn& run) {
-  const SupervisorMetrics& m = SupervisorMetrics::Get();
-  if (options_.cancel && options_.cancel()) {
-    ++budget_.exhausted;
-    m.exhausted->Increment();
-    return Status::Cancelled("run cancelled before attempt");
+  // A diagnosis already past its deadline, or cancelled, starts no run.
+  EnforceResult er;
+  er.status = ctx_->Interrupted();
+  if (er.status.ok()) {
+    EnforceOptions eo;
+    eo.max_steps = options_.max_steps;
+    eo.stall_limit = options_.stall_limit;
+    if (ctx_->interruptible()) {
+      eo.interrupt = [ctx = ctx_] { return ctx->Interrupted(); };
+    }
+    er = run(eo);
+    ++budget_.attempts;
+    budget_.steps += er.steps;
+    ctx_->metrics.Record("supervisor.run_steps", {100, 1000, 10000, 100000, 1000000}, er.steps);
   }
-
-  EnforceOptions eo;
-  eo.max_steps = options_.max_steps;
-  eo.stall_limit = options_.stall_limit;
-  Stopwatch watch;
-  if (options_.deadline_seconds > 0 || options_.cancel) {
-    const double deadline = options_.deadline_seconds;
-    const std::function<bool()>* cancel = options_.cancel ? &options_.cancel : nullptr;
-    eo.interrupt = [&watch, deadline, cancel]() -> Status {
-      if (cancel != nullptr && (*cancel)()) {
-        return Status::Cancelled("run cancelled mid-flight");
-      }
-      if (deadline > 0 && watch.ElapsedSeconds() > deadline) {
-        return Status::DeadlineExceeded("run exceeded wall-clock deadline");
-      }
-      return OkStatus();
-    };
-  }
-
-  EnforceResult er = run(eo);
-  ++budget_.attempts;
-  budget_.steps += er.steps;
-  m.attempts->Increment();
-  m.steps->Add(er.steps);
-  m.run_steps->Record(er.steps);
   switch (er.status.code()) {
     case StatusCode::kDeadlineExceeded:
       ++budget_.deadline_expirations;
-      m.deadline_expirations->Increment();
       obs::Span("hv", "supervisor.deadline", 'i');
       break;
     case StatusCode::kAborted:
       ++budget_.watchdog_trips;
-      m.watchdog_trips->Increment();
       obs::Span("hv", "supervisor.watchdog", 'i');
       break;
     default: break;
@@ -99,13 +56,11 @@ StatusOr<EnforceResult> Supervisor::Supervise(const RunFn& run) {
   // how to discount.
   if (er.status.ok() || er.status.code() == StatusCode::kResourceExhausted) {
     ++budget_.completed;
-    m.completed->Increment();
     return er;
   }
   ++budget_.exhausted;
-  m.exhausted->Increment();
   obs::Span("hv", "supervisor.exhausted", 'i').Arg("status", er.status.ToString());
-  obs::PublishDiagEvent(options_.event_scope, obs::DiagPhase::kSupervision,
+  obs::PublishDiagEvent(ctx_->event_scope, obs::DiagPhase::kSupervision,
                         "supervisor.exhausted", er.status.ToString());
   return er.status;
 }

@@ -4,10 +4,10 @@
 // flip runs livelocked or outlived its request. The Supervisor wraps every
 // re-execution with:
 //
-//   - a wall-clock deadline per run (on top of the step budget),
-//   - cooperative cancellation,
+//   - the diagnosis's deadline and cancel probe (src/hv/diag_context.h),
+//     checked before each run and between simulator steps,
 //   - a livelock watchdog (no schedule progress for `stall_limit` steps), and
-//   - per-diagnosis run-budget accounting surfaced in the final report.
+//   - per-stage run-budget accounting surfaced in the final report.
 //
 // Runs are deterministic, so a lost run is not retried: it yields a non-ok
 // Status and callers degrade gracefully (LIFS skips the schedule, Causality
@@ -21,26 +21,17 @@
 #include <string>
 #include <vector>
 
+#include "src/hv/diag_context.h"
 #include "src/hv/enforcer.h"
+#include "src/obs/metrics.h"
 #include "src/util/status.h"
 
 namespace aitia {
 
 struct SupervisorOptions {
   int64_t max_steps = 200000;
-  // Wall-clock deadline per run; 0 disables.
-  double deadline_seconds = 0;
   // Livelock watchdog threshold (see EnforceOptions::stall_limit); 0 = off.
   int64_t stall_limit = 0;
-  // Cooperative cancellation probe (null = never cancelled). Checked before
-  // every run and between simulator steps; once it returns true, runs finish
-  // with kCancelled so an in-flight diagnosis unwinds within one step rather
-  // than spending its remaining budget. The service layer points this at its
-  // drain flag and request deadline.
-  std::function<bool()> cancel;
-  // Progress-event scope (src/obs/events.h): nonzero publishes lost runs to
-  // a streaming subscriber; 0 publishes nothing.
-  uint64_t event_scope = 0;
 };
 
 // Per-diagnosis accounting of what supervision spent and lost.
@@ -53,13 +44,17 @@ struct RunBudget {
   int64_t steps = 0;                 // simulator steps across all executions
 
   std::string ToString() const;
+  // Adds these counts to the supervisor.* counters of `metrics`.
+  void AddTo(obs::MetricsSnapshot& metrics) const;
 };
 
-// One supervisor per search; not thread-safe.
+// One supervisor per stage; not thread-safe. `ctx` (not owned, non-null)
+// supplies the diagnosis's deadline, cancel probe and event scope, and
+// receives each run's supervisor.run_steps.
 class Supervisor {
  public:
-  Supervisor(const KernelImage* image, SupervisorOptions options)
-      : image_(image), options_(std::move(options)) {}
+  Supervisor(const KernelImage* image, SupervisorOptions options, DiagContext* ctx)
+      : image_(image), options_(options), ctx_(ctx) {}
 
   StatusOr<EnforceResult> RunPreemption(const std::vector<ThreadSpec>& threads,
                                         const PreemptionSchedule& schedule,
@@ -76,6 +71,7 @@ class Supervisor {
 
   const KernelImage* image_;
   SupervisorOptions options_;
+  DiagContext* ctx_;
   RunBudget budget_;
 };
 

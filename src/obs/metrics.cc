@@ -12,6 +12,12 @@ namespace {
 
 size_t ShardIndex() { return CurrentThreadTag() % kMetricShards; }
 
+// The first bound >= value (upper-bound buckets); past-the-end overflows.
+size_t BucketOf(const std::vector<int64_t>& bounds, int64_t value) {
+  return static_cast<size_t>(std::lower_bound(bounds.begin(), bounds.end(), value) -
+                             bounds.begin());
+}
+
 }  // namespace
 
 void Counter::Add(int64_t delta) {
@@ -36,16 +42,8 @@ Histogram::Histogram(std::vector<int64_t> bounds) : bounds_(std::move(bounds)) {
 }
 
 void Histogram::Record(int64_t value) {
-  // First bound >= value wins (upper-bound buckets); past-the-end overflows.
-  size_t bucket = bounds_.size();
-  for (size_t i = 0; i < bounds_.size(); ++i) {
-    if (value <= bounds_[i]) {
-      bucket = i;
-      break;
-    }
-  }
   Shard& shard = shards_[ShardIndex()];
-  shard.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
+  shard.buckets[BucketOf(bounds_, value)].fetch_add(1, std::memory_order_relaxed);
   shard.count.fetch_add(1, std::memory_order_relaxed);
   shard.sum.fetch_add(value, std::memory_order_relaxed);
 }
@@ -107,31 +105,42 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snapshot;
 }
 
+void MetricsRegistry::Merge(const MetricsSnapshot& snapshot) {
+  for (const auto& [name, value] : snapshot.counters) {
+    GetCounter(name)->Add(value);
+  }
+  for (const auto& [name, h] : snapshot.histograms) {
+    Histogram* histogram = GetHistogram(name, h.bounds);
+    if (histogram->bounds_ != h.bounds) {
+      continue;
+    }
+    Histogram::Shard& shard = histogram->shards_[ShardIndex()];
+    for (size_t i = 0; i < h.buckets.size(); ++i) {
+      shard.buckets[i].fetch_add(h.buckets[i], std::memory_order_relaxed);
+    }
+    shard.count.fetch_add(h.count, std::memory_order_relaxed);
+    shard.sum.fetch_add(h.sum, std::memory_order_relaxed);
+  }
+}
+
 int64_t MetricsSnapshot::counter(const std::string& name) const {
   auto it = counters.find(name);
   return it == counters.end() ? 0 : it->second;
 }
 
-MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& since) const {
-  MetricsSnapshot delta;
-  for (const auto& [name, value] : counters) {
-    auto it = since.counters.find(name);
-    delta.counters[name] = value - (it == since.counters.end() ? 0 : it->second);
+void MetricsSnapshot::Record(std::string_view name, std::initializer_list<int64_t> bounds,
+                             int64_t value) {
+  auto it = histograms.find(name);
+  if (it == histograms.end()) {
+    HistogramSnapshot h;
+    h.bounds = bounds;
+    h.buckets.assign(h.bounds.size() + 1, 0);
+    it = histograms.emplace(name, std::move(h)).first;
   }
-  delta.gauges = gauges;  // levels, not rates
-  for (const auto& [name, h] : histograms) {
-    HistogramSnapshot d = h;
-    auto it = since.histograms.find(name);
-    if (it != since.histograms.end() && it->second.bounds == h.bounds) {
-      for (size_t i = 0; i < d.buckets.size(); ++i) {
-        d.buckets[i] -= it->second.buckets[i];
-      }
-      d.count -= it->second.count;
-      d.sum -= it->second.sum;
-    }
-    delta.histograms[name] = std::move(d);
-  }
-  return delta;
+  HistogramSnapshot& h = it->second;
+  ++h.buckets[BucketOf(h.bounds, value)];
+  ++h.count;
+  h.sum += value;
 }
 
 namespace {

@@ -15,17 +15,22 @@
 //
 // Instruments live for the process lifetime: Get* returns a stable pointer
 // that call sites cache in a function-local static, paying the registry
-// mutex once per call site instead of once per increment.
+// mutex once per call site instead of once per increment. A diagnosis
+// records into its own MetricsSnapshot instead (src/hv/diag_context.h),
+// which the facade merges into the registry once when it finishes.
 
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace aitia {
@@ -111,21 +116,20 @@ struct HistogramSnapshot {
   int64_t sum = 0;
 };
 
-// Point-in-time merged view of a registry. Snapshots are plain values:
-// diffable (Delta) so a per-diagnosis report can be cut out of the
-// process-wide registry, and serializable (ToJson / ToText).
+// Point-in-time merged view of a registry, or one diagnosis's own counts.
+// Snapshots are plain values, serializable (ToJson / ToText).
 struct MetricsSnapshot {
-  std::map<std::string, int64_t> counters;
-  std::map<std::string, int64_t> gauges;
-  std::map<std::string, HistogramSnapshot> histograms;
+  std::map<std::string, int64_t, std::less<>> counters;
+  std::map<std::string, int64_t, std::less<>> gauges;
+  std::map<std::string, HistogramSnapshot, std::less<>> histograms;
 
   // Counter value by name; 0 when absent.
   int64_t counter(const std::string& name) const;
   bool empty() const { return counters.empty() && gauges.empty() && histograms.empty(); }
 
-  // Counters and histograms become this-minus-since; gauges keep the current
-  // value (a level, not a rate). Metrics absent from `since` pass through.
-  MetricsSnapshot Delta(const MetricsSnapshot& since) const;
+  // Records `value` into the named histogram, creating it with `bounds`
+  // (ascending upper bounds, as Histogram's) on first use.
+  void Record(std::string_view name, std::initializer_list<int64_t> bounds, int64_t value);
 
   // Nested JSON object: dotted names become nested objects, so
   // "lifs.schedules_executed" serializes as {"lifs": {"schedules_executed": N}}.
@@ -153,6 +157,11 @@ class MetricsRegistry {
   Histogram* GetHistogram(const std::string& name, std::vector<int64_t> bounds);
 
   MetricsSnapshot Snapshot() const;
+
+  // Adds a snapshot's counters and histograms to this registry's, creating
+  // instruments on first use. A histogram registered with other bounds is
+  // skipped: its buckets cannot be added. Gauges are levels and not merged.
+  void Merge(const MetricsSnapshot& snapshot);
 
  private:
   mutable std::mutex mu_;

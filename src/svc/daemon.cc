@@ -515,22 +515,18 @@ void Daemon::RunDiagnose(const DiagnoseJob& job, const std::shared_ptr<OnceRespo
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 
-  const double deadline_seconds = static_cast<double>(job.deadline_ms) / 1e3;
-  auto run_watch = std::make_shared<Stopwatch>();
-  AitiaOptions options;
-  options.set_deadline(deadline_seconds);
+  // The request's budget starts with its diagnosis. Past the deadline the
+  // stages unwind with kDeadlineExceeded; once the drain grace expired, the
+  // cancel probe unwinds them with kCancelled. Either way the report
+  // degrades.
+  DiagContext ctx;
+  ctx.deadline = DiagContext::Clock::now() + std::chrono::milliseconds(job.deadline_ms);
+  ctx.cancel = [this] { return drain_hard_.load(std::memory_order_acquire); };
   if (job.relay != nullptr) {
-    options.set_event_scope(job.relay->scope());
+    ctx.event_scope = job.relay->scope();
   }
-  // The cancel probe is the hard bound: it fires when the request exceeds
-  // its whole-request budget or when the drain grace expired — either way
-  // the supervised stages unwind with kCancelled and the report degrades.
-  options.set_cancel([this, run_watch, deadline_seconds] {
-    return drain_hard_.load(std::memory_order_acquire) ||
-           run_watch->ElapsedSeconds() > deadline_seconds;
-  });
 
-  AitiaReport report = DiagnoseScenario(job.scenario, options);
+  AitiaReport report = DiagnoseScenario(job.scenario, {}, &ctx);
   // A scenario that parsed but cannot run (its setup phase faulted or never
   // finished) is an input error, answered like malformed .ait.
   const bool invalid = report.status.code() == StatusCode::kInvalidArgument;

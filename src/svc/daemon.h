@@ -64,7 +64,7 @@ struct DaemonOptions {
   // Result-cache entries; 0 disables caching.
   size_t cache_capacity = 128;
   // How long Drain() lets in-flight work finish before arming the hard
-  // cancel probe that deadlines it out.
+  // cancel probe that cancels it.
   int64_t drain_grace_ms = 5000;
   // Invoked (once) when a client sends the "shutdown" verb, so a blocking
   // transport loop can wake up and start the drain. May be null.

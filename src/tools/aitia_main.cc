@@ -280,8 +280,8 @@ int main(int argc, char** argv) {
     }
   }
   if (!metrics_json_path.empty()) {
-    // Per-diagnosis delta, mirroring the report's "metrics" section (the
-    // daemon's --metrics-json dumps the whole process registry instead).
+    // This diagnosis's counts, the report's "metrics" section (the daemon's
+    // --metrics-json dumps the whole process registry instead).
     metrics_json_out << report.metrics.ToJson() << "\n";
     if (!metrics_json_out.flush()) {
       std::fprintf(stderr, "aitia: failed writing metrics output file: %s\n",

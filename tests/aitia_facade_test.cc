@@ -69,9 +69,9 @@ TEST(AitiaFacadeTest, HistoryPipelineKeepsCutShortStatus) {
   BugScenario s = MakeScenario("fig-1");
   FuzzOutcome fuzz = FuzzUntilFailure(s.MakeWorkload());
   ASSERT_TRUE(fuzz.found);
-  AitiaOptions options;
-  options.set_cancel([] { return true; });
-  AitiaReport report = DiagnoseHistory(*s.image, fuzz.history, options);
+  DiagContext ctx;
+  ctx.cancel = [] { return true; };
+  AitiaReport report = DiagnoseHistory(*s.image, fuzz.history, {}, &ctx);
   EXPECT_FALSE(report.diagnosed);
   EXPECT_TRUE(report.degraded);
   EXPECT_EQ(report.status.code(), StatusCode::kCancelled);

@@ -78,8 +78,8 @@ TEST_P(GenRoundtripTest, GroundTruthSurvivesTheRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(AllTemplates, GenRoundtripTest,
                          testing::ValuesIn(gen::AllGenTemplates()),
-                         [](const testing::TestParamInfo<gen::GenTemplate>& info) {
-                           return std::string(gen::GenTemplateName(info.param));
+                         [](const testing::TestParamInfo<gen::GenTemplate>& param_info) {
+                           return std::string(gen::GenTemplateName(param_info.param));
                          });
 
 TEST(CorpusPlanTest, PrefixIsIndependentOfCount) {

@@ -112,8 +112,8 @@ void ExpectGolden(const std::string& name, const std::string& actual) {
   }
 }
 
-// The report without what varies from run to run: the metrics delta and the
-// wall-clock seconds.
+// The report without what varies from run to run: the metrics (their µs
+// counters) and the wall-clock seconds.
 std::string CanonicalJson(AitiaReport report, const KernelImage& image) {
   report.metrics = obs::MetricsSnapshot{};
   report.lifs.seconds = 0;
@@ -204,9 +204,9 @@ TEST(GoldenTest, EventsOnEqualsGolden) {
         ++consumed;
       }
     });
-    AitiaOptions options;
-    options.set_event_scope(scope);
-    const AitiaReport report = DiagnoseScenario(s, options);
+    DiagContext ctx;
+    ctx.event_scope = scope;
+    const AitiaReport report = DiagnoseScenario(s, {}, &ctx);
     sub->Close();
     consumer.join();
     while (sub->Next(0).has_value()) {

@@ -1,10 +1,9 @@
 // Tests for the metrics registry (src/obs/metrics): shard merging under a
-// thread pool, histogram bucket edges, snapshot-while-writing safety, deltas,
-// and JSON/text serialization.
+// thread pool, histogram bucket edges, snapshot-while-writing safety,
+// merging a diagnosis's snapshot, and JSON/text serialization.
 //
-// The registry under test is the process-wide Global() instance — the same
-// one the pipeline reports into — so every test uses names under a unique
-// "test." prefix and asserts via Delta() rather than absolute values.
+// Each test writes into a private registry, so the counts the pipeline
+// reports into the process-wide Global() never reach its assertions.
 
 #include <gtest/gtest.h>
 
@@ -22,15 +21,15 @@ namespace obs {
 namespace {
 
 TEST(MetricsCounterTest, AddAndValue) {
-  Counter* c = MetricsRegistry::Global().GetCounter("test.counter.basic");
-  const int64_t base = c->Value();
+  MetricsRegistry reg;
+  Counter* c = reg.GetCounter("test.counter.basic");
   c->Increment();
   c->Add(41);
-  EXPECT_EQ(c->Value(), base + 42);
+  EXPECT_EQ(c->Value(), 42);
 }
 
 TEST(MetricsCounterTest, SameNameSameInstrument) {
-  auto& reg = MetricsRegistry::Global();
+  MetricsRegistry reg;
   EXPECT_EQ(reg.GetCounter("test.counter.alias"), reg.GetCounter("test.counter.alias"));
   EXPECT_NE(reg.GetCounter("test.counter.alias"), reg.GetCounter("test.counter.other"));
 }
@@ -40,8 +39,8 @@ TEST(MetricsCounterTest, ShardMergeUnderThreadPool) {
   // across shards, no double counting in the snapshot merge.
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
-  Counter* c = MetricsRegistry::Global().GetCounter("test.counter.sharded");
-  const int64_t base = c->Value();
+  MetricsRegistry reg;
+  Counter* c = reg.GetCounter("test.counter.sharded");
   {
     ThreadPool pool(kThreads);
     for (int t = 0; t < kThreads; ++t) {
@@ -53,13 +52,13 @@ TEST(MetricsCounterTest, ShardMergeUnderThreadPool) {
     }
     pool.Wait();
   }
-  EXPECT_EQ(c->Value(), base + int64_t{kThreads} * kPerThread);
-  EXPECT_EQ(MetricsRegistry::Global().Snapshot().counter("test.counter.sharded"),
-            base + int64_t{kThreads} * kPerThread);
+  EXPECT_EQ(c->Value(), int64_t{kThreads} * kPerThread);
+  EXPECT_EQ(reg.Snapshot().counter("test.counter.sharded"), int64_t{kThreads} * kPerThread);
 }
 
 TEST(MetricsGaugeTest, SetAndAdd) {
-  Gauge* g = MetricsRegistry::Global().GetGauge("test.gauge.basic");
+  MetricsRegistry reg;
+  Gauge* g = reg.GetGauge("test.gauge.basic");
   g->Set(7);
   EXPECT_EQ(g->Value(), 7);
   g->Add(-3);
@@ -67,28 +66,30 @@ TEST(MetricsGaugeTest, SetAndAdd) {
 }
 
 TEST(MetricsHistogramTest, BucketEdgesAreUpperBoundsInclusive) {
-  auto& reg = MetricsRegistry::Global();
+  // The registry's histogram and a diagnosis's snapshot bucket alike.
+  MetricsRegistry reg;
   Histogram* h = reg.GetHistogram("test.histo.edges", {10, 20});
-  const MetricsSnapshot before = reg.Snapshot();
-  h->Record(-5);  // below everything -> first bucket
-  h->Record(0);
-  h->Record(10);  // on the edge -> still the first bucket (v <= 10)
-  h->Record(11);
-  h->Record(20);
-  h->Record(21);  // past the last bound -> overflow
-  const MetricsSnapshot delta = reg.Snapshot().Delta(before);
-  const HistogramSnapshot& hs = delta.histograms.at("test.histo.edges");
-  ASSERT_EQ(hs.bounds, (std::vector<int64_t>{10, 20}));
-  ASSERT_EQ(hs.buckets.size(), 3u);
-  EXPECT_EQ(hs.buckets[0], 3);  // -5, 0, 10
-  EXPECT_EQ(hs.buckets[1], 2);  // 11, 20
-  EXPECT_EQ(hs.buckets[2], 1);  // 21
-  EXPECT_EQ(hs.count, 6);
-  EXPECT_EQ(hs.sum, -5 + 0 + 10 + 11 + 20 + 21);
+  MetricsSnapshot recorded;
+  // -5 is below everything (first bucket); 10 is on the edge, still the
+  // first bucket (v <= 10); 21 is past the last bound (overflow).
+  for (int64_t v : {-5, 0, 10, 11, 20, 21}) {
+    h->Record(v);
+    recorded.Record("test.histo.edges", {10, 20}, v);
+  }
+  for (const MetricsSnapshot& snap : {reg.Snapshot(), recorded}) {
+    const HistogramSnapshot& hs = snap.histograms.at("test.histo.edges");
+    ASSERT_EQ(hs.bounds, (std::vector<int64_t>{10, 20}));
+    ASSERT_EQ(hs.buckets.size(), 3u);
+    EXPECT_EQ(hs.buckets[0], 3);  // -5, 0, 10
+    EXPECT_EQ(hs.buckets[1], 2);  // 11, 20
+    EXPECT_EQ(hs.buckets[2], 1);  // 21
+    EXPECT_EQ(hs.count, 6);
+    EXPECT_EQ(hs.sum, -5 + 0 + 10 + 11 + 20 + 21);
+  }
 }
 
 TEST(MetricsHistogramTest, FirstRegistrationBoundsWin) {
-  auto& reg = MetricsRegistry::Global();
+  MetricsRegistry reg;
   Histogram* h = reg.GetHistogram("test.histo.bounds", {1, 2, 3});
   Histogram* again = reg.GetHistogram("test.histo.bounds", {100});
   EXPECT_EQ(h, again);
@@ -96,8 +97,8 @@ TEST(MetricsHistogramTest, FirstRegistrationBoundsWin) {
 }
 
 TEST(MetricsSnapshotTest, SnapshotWhileWritingIsSafeAndMonotone) {
-  Counter* c = MetricsRegistry::Global().GetCounter("test.counter.live");
-  const int64_t base = c->Value();
+  MetricsRegistry reg;
+  Counter* c = reg.GetCounter("test.counter.live");
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20000;
   std::atomic<bool> done{false};
@@ -112,32 +113,44 @@ TEST(MetricsSnapshotTest, SnapshotWhileWritingIsSafeAndMonotone) {
   }
   // Snapshot continuously while writers run: every observed value must be
   // within range and non-decreasing (counters never go backward).
-  int64_t last = base;
+  int64_t last = 0;
   while (!done.load()) {
-    const int64_t now = MetricsRegistry::Global().Snapshot().counter("test.counter.live");
+    const int64_t now = reg.Snapshot().counter("test.counter.live");
     EXPECT_GE(now, last);
-    EXPECT_LE(now, base + int64_t{kThreads} * kPerThread);
+    EXPECT_LE(now, int64_t{kThreads} * kPerThread);
     last = now;
   }
   for (std::thread& w : writers) {
     w.join();
   }
-  EXPECT_EQ(c->Value(), base + int64_t{kThreads} * kPerThread);
+  EXPECT_EQ(c->Value(), int64_t{kThreads} * kPerThread);
 }
 
-TEST(MetricsSnapshotTest, DeltaSubtractsCountersKeepsGauges) {
-  auto& reg = MetricsRegistry::Global();
-  Counter* c = reg.GetCounter("test.delta.counter");
-  Gauge* g = reg.GetGauge("test.delta.gauge");
-  c->Add(5);
-  g->Set(100);
-  const MetricsSnapshot before = reg.Snapshot();
-  c->Add(3);
-  g->Set(42);
-  const MetricsSnapshot delta = reg.Snapshot().Delta(before);
-  EXPECT_EQ(delta.counter("test.delta.counter"), 3);
-  EXPECT_EQ(delta.gauges.at("test.delta.gauge"), 42);  // level, not rate
-  EXPECT_FALSE(delta.empty());
+// A diagnosis's snapshot is added to the registry, not copied over it:
+// merging it twice doubles every count.
+TEST(MetricsSnapshotTest, MergingTwiceDoublesEveryCount) {
+  MetricsSnapshot snap;
+  snap.counters["test.merge.counter"] += 5;
+  snap.counters["test.merge.counter"] += 2;
+  for (int64_t v : {3, 15, 99}) {
+    snap.Record("test.merge.histo", {10, 20}, v);
+    snap.Record("test.merge.other_bounds", {10, 20}, v);
+  }
+  MetricsRegistry reg;
+  reg.GetHistogram("test.merge.other_bounds", {1});
+  reg.Merge(snap);
+  reg.Merge(snap);
+  const MetricsSnapshot merged = reg.Snapshot();
+  EXPECT_EQ(merged.counter("test.merge.counter"), 2 * 7);
+  const HistogramSnapshot& h = merged.histograms.at("test.merge.histo");
+  EXPECT_EQ(h.bounds, (std::vector<int64_t>{10, 20}));
+  EXPECT_EQ(h.buckets, (std::vector<int64_t>{2, 2, 2}));
+  EXPECT_EQ(h.count, 2 * 3);
+  EXPECT_EQ(h.sum, 2 * (3 + 15 + 99));
+  // Buckets under other bounds cannot be added; the registered ones stay.
+  const HistogramSnapshot& other = merged.histograms.at("test.merge.other_bounds");
+  EXPECT_EQ(other.bounds, (std::vector<int64_t>{1}));
+  EXPECT_EQ(other.count, 0);
 }
 
 TEST(MetricsSnapshotTest, CounterLookupDefaultsToZero) {
@@ -147,14 +160,12 @@ TEST(MetricsSnapshotTest, CounterLookupDefaultsToZero) {
 }
 
 TEST(MetricsSnapshotTest, ToJsonIsValidAndNested) {
-  auto& reg = MetricsRegistry::Global();
-  const MetricsSnapshot before = reg.Snapshot();
+  MetricsRegistry reg;
   reg.GetCounter("test.json.group.alpha")->Add(1);
   reg.GetCounter("test.json.group.beta")->Add(2);
   reg.GetGauge("test.json.level")->Set(-7);
   reg.GetHistogram("test.json.histo", {5})->Record(3);
-  const MetricsSnapshot delta = reg.Snapshot().Delta(before);
-  const std::string json = delta.ToJson();
+  const std::string json = reg.Snapshot().ToJson();
   std::string why;
   EXPECT_TRUE(testing_json::IsValidJson(json, &why)) << why << "\n" << json;
   // Dotted names fold into nested objects.
@@ -163,12 +174,10 @@ TEST(MetricsSnapshotTest, ToJsonIsValidAndNested) {
 }
 
 TEST(MetricsSnapshotTest, ToTextListsEveryInstrument) {
-  auto& reg = MetricsRegistry::Global();
-  const MetricsSnapshot before = reg.Snapshot();
+  MetricsRegistry reg;
   reg.GetCounter("test.text.counter")->Add(9);
   reg.GetHistogram("test.text.histo", {1})->Record(1);
-  const MetricsSnapshot delta = reg.Snapshot().Delta(before);
-  const std::string text = delta.ToText();
+  const std::string text = reg.Snapshot().ToText();
   EXPECT_NE(text.find("test.text.counter"), std::string::npos) << text;
   EXPECT_NE(text.find("test.text.histo"), std::string::npos) << text;
   EXPECT_EQ(MetricsSnapshot{}.ToText(), "(no metrics recorded)\n");

@@ -2,13 +2,15 @@
 // bounds and drop accounting, Chrome trace-event serialization, and the
 // end-to-end guarantee that a traced diagnosis emits spans for every
 // pipeline phase while report.metrics stays glued to the authoritative
-// pipeline counters.
+// pipeline counters, also while other diagnoses run concurrently.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/bugs/diagnose.h"
 #include "src/bugs/registry.h"
@@ -156,6 +158,39 @@ TEST_F(TracerTest, ReportMetricsMatchAuthoritativeCounters) {
   ASSERT_TRUE(testing_json::IsValidJson(json, &why)) << why;
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
   EXPECT_NE(json.find("\"schedules_executed\""), std::string::npos);
+}
+
+// Each report counts only its own diagnosis's work, however many other
+// diagnoses share the process.
+TEST_F(TracerTest, ReportMetricsStayExactUnderConcurrency) {
+  constexpr int kThreads = 4;
+  std::vector<std::vector<AitiaReport>> reports(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&reports, t] {
+      for (const ScenarioEntry& entry : AllScenarios()) {
+        reports[t].push_back(DiagnoseScenario(entry.make()));
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(reports[t].size(), AllScenarios().size());
+    for (size_t i = 0; i < reports[t].size(); ++i) {
+      SCOPED_TRACE(AllScenarios()[i].id);
+      const AitiaReport& r = reports[t][i];
+      EXPECT_EQ(r.metrics.counter("lifs.searches"), static_cast<int64_t>(r.slices_tried));
+      EXPECT_EQ(r.metrics.counter("lifs.schedules_executed"), r.lifs.schedules_executed);
+      EXPECT_EQ(r.metrics.counter("lifs.schedules_pruned"), r.lifs.schedules_pruned);
+      EXPECT_EQ(r.metrics.counter("causality.flip_tests"), r.causality.schedules_executed);
+      EXPECT_EQ(r.metrics.counter("supervisor.attempts"),
+                r.lifs.budget.attempts + r.causality.budget.attempts);
+      EXPECT_EQ(r.metrics.counter("supervisor.steps"),
+                r.lifs.budget.steps + r.causality.budget.steps);
+    }
+  }
 }
 
 TEST_F(TracerTest, UndiagnosedReportStillCarriesMetrics) {

@@ -1,4 +1,4 @@
-// Supervisor coverage: wall-clock deadlines, the livelock watchdog,
+// Supervisor coverage: the diagnosis deadline, the livelock watchdog,
 // cancellation, and kInconclusive propagation all the way into
 // AitiaReport::Render.
 
@@ -10,6 +10,7 @@
 #include "src/bugs/diagnose.h"
 #include "src/bugs/registry.h"
 #include "src/core/aitia.h"
+#include "src/hv/diag_context.h"
 #include "src/hv/supervisor.h"
 #include "src/sim/builder.h"
 
@@ -30,12 +31,27 @@ struct InfiniteLoop {
   }
 };
 
+// Makes the context's deadline pass at its `n`th Interrupted() check: the
+// cancel probe, which Interrupted() consults before the clock, moves the
+// deadline into the past and cancels nothing. The simulator is
+// deterministic, so the checks (one before each LIFS schedule, one before
+// each run, one every 256 simulator steps) fall at fixed points.
+void ExpireAtCheck(DiagContext& ctx, int n) {
+  ctx.cancel = [&ctx, n, calls = 0]() mutable {
+    if (++calls == n) {
+      ctx.deadline = DiagContext::Clock::time_point::min();
+    }
+    return false;
+  };
+}
+
 TEST(SupervisorTest, DeadlineExpiryLosesTheRun) {
   InfiniteLoop fix;
   SupervisorOptions so;
   so.max_steps = int64_t{1} << 30;  // the deadline must fire first
-  so.deadline_seconds = 1e-9;
-  Supervisor sup(&fix.image, so);
+  DiagContext ctx;
+  ExpireAtCheck(ctx, 3);  // before the run, step 0, step 256
+  Supervisor sup(&fix.image, so, &ctx);
 
   StatusOr<EnforceResult> r = sup.RunPreemption(fix.threads, {{0}, {}}, {});
   ASSERT_FALSE(r.ok());
@@ -45,6 +61,7 @@ TEST(SupervisorTest, DeadlineExpiryLosesTheRun) {
   EXPECT_EQ(b.completed, 0);
   EXPECT_EQ(b.exhausted, 1);
   EXPECT_EQ(b.deadline_expirations, 1);
+  EXPECT_EQ(b.steps, 256);
 }
 
 TEST(SupervisorTest, StepBudgetExhaustionIsScoredNotLost) {
@@ -53,7 +70,8 @@ TEST(SupervisorTest, StepBudgetExhaustionIsScoredNotLost) {
   InfiniteLoop fix;
   SupervisorOptions so;
   so.max_steps = 5000;
-  Supervisor sup(&fix.image, so);
+  DiagContext ctx;
+  Supervisor sup(&fix.image, so, &ctx);
 
   StatusOr<EnforceResult> r = sup.RunPreemption(fix.threads, {{0}, {}}, {});
   ASSERT_TRUE(r.ok());
@@ -95,7 +113,8 @@ TEST(SupervisorTest, WatchdogCatchesHolderDrainLivelock) {
   SupervisorOptions so;
   so.max_steps = 2000000;  // backstop only; the watchdog must fire first
   so.stall_limit = 2000;
-  Supervisor sup(&image, so);
+  DiagContext ctx;
+  Supervisor sup(&image, so, &ctx);
 
   StatusOr<EnforceResult> r = sup.RunTotalOrder(threads, schedule, {});
   ASSERT_FALSE(r.ok());
@@ -112,7 +131,8 @@ TEST(SupervisorTest, BudgetAccumulatesAcrossRuns) {
   InfiniteLoop fix;
   SupervisorOptions so;
   so.max_steps = 100;  // each run is scored at its step budget
-  Supervisor sup(&fix.image, so);
+  DiagContext ctx;
+  Supervisor sup(&fix.image, so, &ctx);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(sup.RunPreemption(fix.threads, {{0}, {}}, {}).ok());
   }
@@ -121,17 +141,26 @@ TEST(SupervisorTest, BudgetAccumulatesAcrossRuns) {
   EXPECT_EQ(b.completed, 3);
   EXPECT_EQ(b.steps, 300);
   EXPECT_FALSE(b.ToString().empty());
+  // Each run lands in the context's histogram; the counters are the stage's
+  // to add, once it finishes.
+  EXPECT_EQ(ctx.metrics.histograms.at("supervisor.run_steps").count, 3);
+  EXPECT_EQ(ctx.metrics.histograms.at("supervisor.run_steps").sum, 300);
+  EXPECT_EQ(ctx.metrics.counter("supervisor.attempts"), 0);
+  b.AddTo(ctx.metrics);
+  EXPECT_EQ(ctx.metrics.counter("supervisor.attempts"), 3);
+  EXPECT_EQ(ctx.metrics.counter("supervisor.steps"), 300);
 }
 
 // --- end-to-end: graceful degradation in the facade report ------------------
 
 TEST(SupervisorReportTest, InconclusiveFlipTestsReachTheRenderedReport) {
   BugScenario s = MakeScenario("fig-1");
-  AitiaOptions options;
-  // Cancel every flip run before it starts; the search is not cancelled.
-  options.causality.supervisor.cancel = [] { return true; };
+  DiagContext ctx;
+  // Cancel every flip run before it starts: the probe turns true once the
+  // search has recorded its totals, so the search is not cancelled.
+  ctx.cancel = [&ctx] { return ctx.metrics.counter("lifs.searches") > 0; };
 
-  AitiaReport report = DiagnoseScenario(s, options);
+  AitiaReport report = DiagnoseScenario(s, {}, &ctx);
   ASSERT_TRUE(report.diagnosed);  // LIFS still reproduces
   EXPECT_TRUE(report.degraded);
   ASSERT_FALSE(report.causality.tested.empty());
@@ -158,11 +187,12 @@ TEST(SupervisorReportTest, InconclusiveFlipTestsReachTheRenderedReport) {
 
 TEST(SupervisorReportTest, LostSearchRunsDegradeTheReport) {
   BugScenario s = MakeScenario("fig-1");
-  AitiaOptions options;
-  options.lifs.supervisor.deadline_seconds = 1e-9;  // every search run expires
-  options.lifs.max_schedules = 4;
+  DiagContext ctx;
+  // Before the first schedule, before its run, then step 0 of the run: the
+  // first search run outlives the deadline, which then stops the search.
+  ExpireAtCheck(ctx, 3);
 
-  AitiaReport report = DiagnoseScenario(s, options);
+  AitiaReport report = DiagnoseScenario(s, {}, &ctx);
   EXPECT_FALSE(report.diagnosed);
   EXPECT_TRUE(report.degraded);
   // Lost runs are skipped, never learned from: each one is a deadline
@@ -170,6 +200,8 @@ TEST(SupervisorReportTest, LostSearchRunsDegradeTheReport) {
   EXPECT_GT(report.lifs.aborted_runs, 0);
   EXPECT_EQ(report.lifs.aborted_runs, report.lifs.budget.exhausted);
   EXPECT_EQ(report.lifs.aborted_runs, report.lifs.budget.deadline_expirations);
+  EXPECT_EQ(report.lifs.budget.attempts, 1);
+  EXPECT_EQ(report.status.code(), StatusCode::kDeadlineExceeded);
 }
 
 }  // namespace

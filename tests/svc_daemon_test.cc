@@ -39,6 +39,12 @@ std::string Field(const JsonValue& doc, const char* key) {
   return v != nullptr && v->is_string() ? v->AsString() : "";
 }
 
+// The report's status, or "" when it has none.
+std::string ReportStatus(const JsonValue& doc) {
+  const JsonValue* report = doc.Find("report");
+  return report != nullptr ? Field(*report, "status") : "";
+}
+
 // An inline-.ait diagnose request for one of the hostile traces in
 // tests/traces.
 std::string HostileAitRequest(const char* file) {
@@ -66,6 +72,24 @@ TEST(DaemonTest, DiagnosesCorpusScenarioById) {
   EXPECT_EQ(Field(doc, "status"), "ok");
   ASSERT_NE(doc.Find("report"), nullptr);
   EXPECT_TRUE(doc.Find("report")->Find("diagnosed")->AsBool());
+}
+
+// The report's metrics are this diagnosis's own counts: none of the
+// daemon's svc.* instruments, and the search's schedules exactly.
+TEST(DaemonTest, ReportMetricsCountOnlyTheDiagnosis) {
+  Daemon daemon(SmallOptions());
+  const JsonValue doc =
+      Parse(daemon.HandleLine(R"({"verb":"diagnose","id":"m","scenario":"fig-1"})"));
+  ASSERT_EQ(Field(doc, "status"), "ok");
+  const JsonValue* report = doc.Find("report");
+  ASSERT_NE(report, nullptr);
+  const JsonValue* metrics = report->Find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  EXPECT_EQ(metrics->Find("svc"), nullptr);
+  ASSERT_NE(metrics->Find("lifs"), nullptr);
+  ASSERT_NE(metrics->Find("lifs")->Find("schedules_executed"), nullptr);
+  EXPECT_EQ(metrics->Find("lifs")->Find("schedules_executed")->AsInt(),
+            report->Find("lifs")->Find("schedules")->AsInt());
 }
 
 TEST(DaemonTest, DiagnosesInlineAitText) {
@@ -172,6 +196,9 @@ TEST(DaemonTest, TinyDeadlineDegradesInsteadOfHanging) {
   const std::string status = Field(doc, "status");
   EXPECT_TRUE(status == "degraded" || status == "ok" || status == "not_reproduced")
       << status;
+  if (status == "degraded") {
+    EXPECT_EQ(ReportStatus(doc).rfind("DEADLINE_EXCEEDED", 0), 0u) << ReportStatus(doc);
+  }
   // The worker is free again.
   EXPECT_EQ(Field(Parse(daemon.HandleLine(R"({"verb":"ping","id":"t2"})")), "status"),
             "ok");
@@ -301,6 +328,7 @@ TEST(DaemonTest, HardDrainCancelsHeldWork) {
   // lost.
   EXPECT_EQ(Field(doc, "status"), "degraded");
   EXPECT_NE(doc.Find("report"), nullptr);
+  EXPECT_EQ(ReportStatus(doc).rfind("CANCELLED", 0), 0u) << ReportStatus(doc);
 }
 
 TEST(DaemonTest, VerbsPingMetricsShutdown) {
