@@ -10,6 +10,8 @@
 //   corpus/<id>.explored     the LIFS explored order (keep_explored): one
 //                            schedule per line with k and the
 //                            failed/matched/equivalent flags
+//   corpus/<id>.events       the progress frames a streamed diagnosis
+//                            emits: one DiagEventToJson line per frame
 //   generate/<t>-<seed>.ait  aitia --generate template=<t> seed=<seed>, for
 //                            every template and seeds 1-8
 //   generate/<t>-<seed>.json the canonical report of that text at CLI
@@ -188,20 +190,18 @@ TEST(GoldenTest, GeneratedScenarios) {
 }
 
 // Events on, consumed live and concurrently, exactly like the daemon's
-// streaming relay: every event arrives, and the outputs equal the goldens.
+// streaming relay: every frame arrives and equals the golden frames, and
+// the outputs equal the goldens.
 TEST(GoldenTest, EventsOnEqualsGolden) {
-  if (g_update) {
-    GTEST_SKIP() << "compares against the goldens the tests above wrote";
-  }
   for (const ScenarioEntry& entry : AllScenarios()) {
     SCOPED_TRACE(entry.id);
     const BugScenario s = entry.make();
     const uint64_t scope = obs::EventBus::NextScope();
     auto sub = obs::EventBus::Global().Subscribe(scope, /*capacity=*/8192);
-    int64_t consumed = 0;
-    std::thread consumer([&sub, &consumed] {
-      while (sub->Next(1000).has_value()) {
-        ++consumed;
+    std::string frames;
+    std::thread consumer([&sub, &frames] {
+      while (std::optional<obs::DiagEvent> event = sub->Next(1000)) {
+        frames += obs::DiagEventToJson(*event) + "\n";
       }
     });
     DiagContext ctx;
@@ -209,13 +209,16 @@ TEST(GoldenTest, EventsOnEqualsGolden) {
     const AitiaReport report = DiagnoseScenario(s, {}, &ctx);
     sub->Close();
     consumer.join();
-    while (sub->Next(0).has_value()) {
-      ++consumed;  // close-then-drain stragglers
+    while (std::optional<obs::DiagEvent> event = sub->Next(0)) {
+      frames += obs::DiagEventToJson(*event) + "\n";  // close-then-drain stragglers
     }
     EXPECT_EQ(sub->dropped(), 0);
-    EXPECT_GT(consumed, 0) << "a scoped diagnosis published no events";
-    ExpectGolden(CorpusGolden(entry, ".json"), CanonicalJson(report, *s.image));
-    ExpectGolden(CorpusGolden(entry, ".sarif"), tools::ReportToSarif(s, report) + "\n");
+    EXPECT_FALSE(frames.empty()) << "a scoped diagnosis published no events";
+    ExpectGolden(CorpusGolden(entry, ".events"), frames);
+    if (!g_update) {
+      ExpectGolden(CorpusGolden(entry, ".json"), CanonicalJson(report, *s.image));
+      ExpectGolden(CorpusGolden(entry, ".sarif"), tools::ReportToSarif(s, report) + "\n");
+    }
   }
 }
 

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -213,6 +214,10 @@ TEST(SvcStreamTest, ConcurrentStreamsNeverCrossTalk) {
   }
   daemon.Drain();
 
+  // The relay stamps its own id on every frame it pumps, so the id alone
+  // cannot show a foreign event. All eight diagnose fig-1, so all eight
+  // carry the same (phase, name) sequence; a foreign event would change one.
+  std::vector<std::vector<std::pair<std::string, std::string>>> sequences(kRequests);
   for (int i = 0; i < kRequests; ++i) {
     std::lock_guard<std::mutex> lock(logs[i]->mu);
     ASSERT_EQ(logs[i]->terminals.size(), 1u) << i;
@@ -220,9 +225,15 @@ TEST(SvcStreamTest, ConcurrentStreamsNeverCrossTalk) {
     ASSERT_FALSE(logs[i]->frames.empty()) << i;
     const std::string want_id = "c" + std::to_string(i);
     for (const std::string& line : logs[i]->frames) {
-      // Scope isolation: every frame on this sink carries this request's id.
-      EXPECT_EQ(Field(Parse(line), "id"), want_id) << line;
+      const JsonValue frame = Parse(line);
+      EXPECT_EQ(Field(frame, "id"), want_id) << line;
+      const JsonValue* event = frame.Find("event");
+      ASSERT_NE(event, nullptr) << line;
+      sequences[i].emplace_back(Field(*event, "phase"), Field(*event, "name"));
     }
+  }
+  for (int i = 1; i < kRequests; ++i) {
+    EXPECT_EQ(sequences[i], sequences[0]) << "stream c" << i << " differs from c0";
   }
   EXPECT_EQ(DuplicateResponses(), dups_before);
 }
