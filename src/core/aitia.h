@@ -64,8 +64,8 @@ struct AitiaReport {
 // Both entry points run one diagnosis under `ctx` (src/hv/diag_context.h):
 // its deadline and cancel probe bound every stage — expiry degrades the
 // report (kInconclusive flips, a non-ok status) instead of wedging the
-// caller — and its event scope tags every stage's events. A caller that
-// passes none gets a fresh context. The context's counts become
+// caller — and its frame queue, if any, receives every stage's frames. A
+// caller that passes none gets a fresh context. The context's counts become
 // AitiaReport::metrics and are merged into the process-wide registry once.
 
 // Diagnoses a known concurrent group directly (skips modeling).

@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 
-#include "src/obs/events.h"
 #include "src/obs/trace.h"
 #include "src/util/log.h"
 #include "src/util/stopwatch.h"
@@ -267,11 +266,14 @@ CausalityResult CausalityAnalysis::Run() {
   std::vector<RunResult> flip_runs(items.size());
   std::vector<Status> flip_status(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
-    obs::Span span("causality", "ca.flip");
-    span.Arg("index", i)
-        .Arg("label", RaceLabel(*image_, items[i].race))
-        .Arg("phantom", items[i].phantom)
-        .Arg("critical_section", items[i].race.cs_pair);
+    obs::Span span("causality", "ca.flip", 'X', obs::DiagPhase::kFlipTested, ctx_->frames);
+    if (span.active()) {
+      span.Arg("index", i)
+          .Arg("total", items.size())
+          .Arg("label", RaceLabel(*image_, items[i].race))
+          .Arg("phantom", items[i].phantom)
+          .Arg("critical_section", items[i].race.cs_pair);
+    }
     TotalOrderSchedule flip = BuildFlip(items[i]);
     StatusOr<EnforceResult> er = supervisor.RunTotalOrder(slice_, flip, setup_);
     if (er.ok()) {
@@ -281,11 +283,6 @@ CausalityResult CausalityAnalysis::Run() {
       flip_status[i] = er.status();
     }
     span.Arg("ok", flip_status[i].ok());
-    obs::PublishDiagEvent(ctx_->event_scope, obs::DiagPhase::kFlipTested, "ca.flip",
-                          RaceLabel(*image_, items[i].race),
-                          {{"index", static_cast<int64_t>(i)},
-                           {"total", static_cast<int64_t>(items.size())},
-                           {"ok", flip_status[i].ok() ? 1 : 0}});
   }
   result.schedules_executed = static_cast<int64_t>(items.size());
   result.budget = supervisor.budget();
@@ -362,16 +359,14 @@ CausalityResult CausalityAnalysis::Run() {
     int64_t ambiguous_count = 0;
     for (size_t i = 0; i < result.tested.size(); ++i) {
       const TestedRace& t = result.tested[i];
-      obs::Span("causality", "ca.verdict", 'i')
-          .Arg("index", i)
-          .Arg("label", RaceLabel(*image_, t.race))
-          .Arg("verdict", RaceVerdictName(t.verdict))
-          .Arg("phantom", t.phantom)
-          .Arg("critical_section", t.race.cs_pair);
-      if (ctx_->event_scope != 0 && obs::EventBus::Global().active()) {
-        obs::PublishDiagEvent(ctx_->event_scope, obs::DiagPhase::kVerdict, "ca.verdict",
-                              RaceLabel(*image_, t.race) + " " + RaceVerdictName(t.verdict),
-                              {{"index", static_cast<int64_t>(i)}});
+      obs::Span verdict("causality", "ca.verdict", 'i', obs::DiagPhase::kVerdict,
+                        ctx_->frames);
+      if (verdict.active()) {
+        verdict.Arg("index", i)
+            .Arg("label", RaceLabel(*image_, t.race))
+            .Arg("verdict", RaceVerdictName(t.verdict))
+            .Arg("phantom", t.phantom)
+            .Arg("critical_section", t.race.cs_pair);
       }
       root_cause_count += t.verdict == RaceVerdict::kRootCause ? 1 : 0;
       ambiguous_count += t.verdict == RaceVerdict::kAmbiguous ? 1 : 0;

@@ -8,7 +8,6 @@
 #include <set>
 #include <utility>
 
-#include "src/obs/events.h"
 #include "src/obs/trace.h"
 #include "src/util/log.h"
 #include "src/util/stopwatch.h"
@@ -376,14 +375,13 @@ bool Lifs::Execute(const PreemptionSchedule& schedule, int interleavings) {
         {schedule, interleavings, run.failure.has_value(), matched, !fresh});
   }
   if (matched) {
-    obs::Span("lifs", "lifs.match", 'i')
-        .Arg("k", interleavings)
-        .Arg("points", schedule.points.size())
-        .Arg("schedule", schedule.ToString());
-    obs::PublishDiagEvent(ctx_->event_scope, obs::DiagPhase::kLifs, "lifs.reproduced",
-                          schedule.ToString(),
-                          {{"interleavings", interleavings},
-                           {"schedules_executed", result_.schedules_executed}});
+    obs::Span match("lifs", "lifs.match", 'i', obs::DiagPhase::kLifs, ctx_->frames);
+    if (match.active()) {
+      match.Arg("k", interleavings)
+          .Arg("points", schedule.points.size())
+          .Arg("schedule", schedule.ToString())
+          .Arg("schedules_executed", result_.schedules_executed);
+    }
     FinalizeFailingRun(run, schedule, interleavings);
   }
   span.Arg("failed", run.failure.has_value()).Arg("matched", matched);
@@ -587,8 +585,8 @@ LifsResult Lifs::RunSearch() {
 
   result_.discovery_seconds = watch.ElapsedSeconds();
   discovery_done = true;
-  obs::PublishDiagEvent(ctx_->event_scope, obs::DiagPhase::kLifs, "lifs.discovery", "",
-                        {{"schedules_executed", result_.schedules_executed}});
+  obs::Span("lifs", "lifs.discovery", 'i', obs::DiagPhase::kLifs, ctx_->frames)
+      .Arg("schedules_executed", result_.schedules_executed);
 
   for (int k = 1; k <= options_.max_interleavings; ++k) {
     // Candidates of the previous pass at this depth: its tuples already ran.
@@ -620,10 +618,10 @@ LifsResult Lifs::RunSearch() {
             .Arg("depth", k);
       }
 
-      obs::PublishDiagEvent(ctx_->event_scope, obs::DiagPhase::kLifs, "lifs.pass", "",
-                            {{"depth", k},
-                             {"candidates", static_cast<int64_t>(candidates.size())},
-                             {"schedules_executed", result_.schedules_executed}});
+      obs::Span("lifs", "lifs.pass", 'i', obs::DiagPhase::kLifs, ctx_->frames)
+          .Arg("depth", k)
+          .Arg("candidates", candidates.size())
+          .Arg("schedules_executed", result_.schedules_executed);
 
       // One pass over the depth-k frontier. Candidates are a snapshot:
       // knowledge learned mid-pass only affects the next pass (the pass's

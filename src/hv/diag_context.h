@@ -2,12 +2,12 @@
 //
 // A diagnosis is one LIFS search followed by one flip test per race
 // (§3.3–§3.4), and every kernel re-execution in it answers to the same
-// request budget. The caller sets the deadline, the cancel probe and the
-// event scope; LIFS, Causality Analysis and the Supervisor that runs their
-// re-executions read them, and record their counts into `metrics`. The
-// facade copies those counts into AitiaReport::metrics and merges them into
-// the process-wide registry once, so a report counts only its own work at
-// any concurrency.
+// request budget. The caller sets the deadline, the cancel probe and, for a
+// streamed request, the frame queue; LIFS, Causality Analysis and the
+// Supervisor that runs their re-executions read them, and record their
+// counts into `metrics`. The facade copies those counts into
+// AitiaReport::metrics and merges them into the process-wide registry once,
+// so a report counts only its own work at any concurrency.
 //
 // A context serves one diagnosis on one thread and is not thread-safe; only
 // the cancel probe may read state that other threads write.
@@ -16,13 +16,15 @@
 #define SRC_HV_DIAG_CONTEXT_H_
 
 #include <chrono>
-#include <cstdint>
 #include <functional>
 
 #include "src/obs/metrics.h"
 #include "src/util/status.h"
 
 namespace aitia {
+namespace obs {
+class FrameQueue;
+}  // namespace obs
 
 struct DiagContext {
   using Clock = std::chrono::steady_clock;
@@ -33,10 +35,10 @@ struct DiagContext {
   // Cooperative cancellation probe (null = never cancelled). The service
   // layer points it at its hard-drain flag.
   std::function<bool()> cancel;
-  // Progress-event scope (src/obs/events.h): nonzero tags this diagnosis's
-  // lifecycle events so a streaming subscriber sees only its own request;
-  // 0 publishes nothing.
-  uint64_t event_scope = 0;
+  // The streamed request's frame queue (src/obs/events.h), owned by the
+  // daemon's stream relay; the stages' streaming spans push into it. Null,
+  // as for every diagnosis nobody streams, builds no frame.
+  obs::FrameQueue* frames = nullptr;
 
   // The counters and histograms the stages record for this diagnosis.
   obs::MetricsSnapshot metrics;

@@ -1,6 +1,5 @@
 #include "src/hv/supervisor.h"
 
-#include "src/obs/events.h"
 #include "src/obs/trace.h"
 #include "src/util/strings.h"
 
@@ -59,9 +58,11 @@ StatusOr<EnforceResult> Supervisor::Supervise(const RunFn& run) {
     return er;
   }
   ++budget_.exhausted;
-  obs::Span("hv", "supervisor.exhausted", 'i').Arg("status", er.status.ToString());
-  obs::PublishDiagEvent(ctx_->event_scope, obs::DiagPhase::kSupervision,
-                        "supervisor.exhausted", er.status.ToString());
+  obs::Span exhausted("hv", "supervisor.exhausted", 'i', obs::DiagPhase::kSupervision,
+                      ctx_->frames);
+  if (exhausted.active()) {
+    exhausted.Arg("status", er.status.ToString());
+  }
   return er.status;
 }
 

@@ -49,7 +49,7 @@ struct RunBudget {
 };
 
 // One supervisor per stage; not thread-safe. `ctx` (not owned, non-null)
-// supplies the diagnosis's deadline, cancel probe and event scope, and
+// supplies the diagnosis's deadline, cancel probe and frame queue, and
 // receives each run's supervisor.run_steps.
 class Supervisor {
  public:

@@ -1,6 +1,5 @@
 #include "src/obs/events.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "src/util/strings.h"
@@ -28,12 +27,25 @@ const char* DiagPhaseName(DiagPhase phase) {
   return "unknown";
 }
 
-EventSubscription::EventSubscription(uint64_t scope, size_t capacity)
-    : scope_(scope), capacity_(capacity == 0 ? 1 : capacity) {}
+FrameQueue::FrameQueue(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
-EventSubscription::~EventSubscription() { Close(); }
+void FrameQueue::Push(DiagEvent event) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (closed_) {
+      return;
+    }
+    if (queue_.size() >= capacity_) {
+      queue_.pop_front();
+      ++dropped_;
+    }
+    event.seq = next_seq_++;
+    queue_.push_back(std::move(event));
+  }
+  cv_.notify_one();
+}
 
-std::optional<DiagEvent> EventSubscription::Next(int64_t timeout_ms) {
+std::optional<DiagEvent> FrameQueue::Next(int64_t timeout_ms) {
   std::unique_lock<std::mutex> lock(mu_);
   if (queue_.empty() && !closed_ && timeout_ms > 0) {
     cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
@@ -47,7 +59,7 @@ std::optional<DiagEvent> EventSubscription::Next(int64_t timeout_ms) {
   return event;
 }
 
-void EventSubscription::Close() {
+void FrameQueue::Close() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) {
@@ -58,103 +70,14 @@ void EventSubscription::Close() {
   cv_.notify_all();
 }
 
-bool EventSubscription::closed() const {
+bool FrameQueue::closed() const {
   std::lock_guard<std::mutex> lock(mu_);
   return closed_;
 }
 
-int64_t EventSubscription::dropped() const {
+int64_t FrameQueue::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
   return dropped_;
-}
-
-EventBus& EventBus::Global() {
-  static EventBus* const bus = new EventBus();
-  return *bus;
-}
-
-uint64_t EventBus::NextScope() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::shared_ptr<EventSubscription> EventBus::Subscribe(uint64_t scope, size_t capacity) {
-  auto sub = std::shared_ptr<EventSubscription>(new EventSubscription(scope, capacity));
-  std::lock_guard<std::mutex> lock(mu_);
-  Compact();
-  subs_.push_back(sub);
-  subscriber_count_.store(static_cast<int64_t>(subs_.size()), std::memory_order_relaxed);
-  return sub;
-}
-
-void EventBus::Compact() {
-  subs_.erase(std::remove_if(subs_.begin(), subs_.end(),
-                             [](const std::shared_ptr<EventSubscription>& sub) {
-                               return sub == nullptr || sub->closed();
-                             }),
-              subs_.end());
-  subscriber_count_.store(static_cast<int64_t>(subs_.size()), std::memory_order_relaxed);
-}
-
-void EventBus::Publish(DiagEvent event) {
-  if (!active() || event.scope == 0) {
-    return;
-  }
-  // Collect matching subscriptions under the bus lock, deliver outside it so
-  // a consumer holding its queue mutex in Next() never serializes the bus.
-  std::vector<std::shared_ptr<EventSubscription>> targets;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    bool saw_closed = false;
-    for (const std::shared_ptr<EventSubscription>& sub : subs_) {
-      if (sub->closed()) {
-        saw_closed = true;
-        continue;
-      }
-      if (sub->scope_ == event.scope) {
-        targets.push_back(sub);
-      }
-    }
-    if (saw_closed) {
-      Compact();
-    }
-  }
-  for (const std::shared_ptr<EventSubscription>& sub : targets) {
-    bool notify = false;
-    {
-      std::lock_guard<std::mutex> lock(sub->mu_);
-      if (sub->closed_) {
-        continue;
-      }
-      if (sub->queue_.size() >= sub->capacity_) {
-        // Oldest-first eviction: streaming is a progress feed, so the newest
-        // event is the valuable one when the consumer lags.
-        sub->queue_.pop_front();
-        ++sub->dropped_;
-      }
-      DiagEvent copy = event;
-      copy.seq = sub->next_seq_++;
-      sub->queue_.push_back(std::move(copy));
-      notify = true;
-    }
-    if (notify) {
-      sub->cv_.notify_one();
-    }
-  }
-}
-
-void PublishDiagEvent(uint64_t scope, DiagPhase phase, const char* name, std::string detail,
-                      std::vector<std::pair<std::string, int64_t>> counters) {
-  if (scope == 0 || !EventBus::Global().active()) {
-    return;
-  }
-  DiagEvent event;
-  event.scope = scope;
-  event.phase = phase;
-  event.name = name;
-  event.detail = std::move(detail);
-  event.counters = std::move(counters);
-  EventBus::Global().Publish(std::move(event));
 }
 
 std::string DiagEventToJson(const DiagEvent& event) {

@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/util/log.h"
 #include "src/util/strings.h"
 
 namespace aitia {
 namespace obs {
 namespace {
-
-size_t ShardIndex() { return CurrentThreadTag() % kMetricShards; }
 
 // The first bound >= value (upper-bound buckets); past-the-end overflows.
 size_t BucketOf(const std::vector<int64_t>& bounds, int64_t value) {
@@ -20,32 +17,16 @@ size_t BucketOf(const std::vector<int64_t>& bounds, int64_t value) {
 
 }  // namespace
 
-void Counter::Add(int64_t delta) {
-  shards_[ShardIndex()].value.fetch_add(delta, std::memory_order_relaxed);
-}
-
-int64_t Counter::Value() const {
-  int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 Histogram::Histogram(std::vector<int64_t> bounds) : bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  shards_ = std::vector<Shard>(kMetricShards);
-  for (Shard& shard : shards_) {
-    shard.buckets = std::vector<std::atomic<int64_t>>(bounds_.size() + 1);
-  }
+  buckets_ = std::vector<std::atomic<int64_t>>(bounds_.size() + 1);
 }
 
 void Histogram::Record(int64_t value) {
-  Shard& shard = shards_[ShardIndex()];
-  shard.buckets[BucketOf(bounds_, value)].fetch_add(1, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
-  shard.sum.fetch_add(value, std::memory_order_relaxed);
+  buckets_[BucketOf(bounds_, value)].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(value, std::memory_order_relaxed);
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -92,14 +73,11 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, histogram] : histograms_) {
     HistogramSnapshot h;
     h.bounds = histogram->bounds_;
-    h.buckets.assign(h.bounds.size() + 1, 0);
-    for (const Histogram::Shard& shard : histogram->shards_) {
-      for (size_t i = 0; i < shard.buckets.size(); ++i) {
-        h.buckets[i] += shard.buckets[i].load(std::memory_order_relaxed);
-      }
-      h.count += shard.count.load(std::memory_order_relaxed);
-      h.sum += shard.sum.load(std::memory_order_relaxed);
+    for (const std::atomic<int64_t>& bucket : histogram->buckets_) {
+      h.buckets.push_back(bucket.load(std::memory_order_relaxed));
     }
+    h.count = histogram->count_.load(std::memory_order_relaxed);
+    h.sum = histogram->sum_.load(std::memory_order_relaxed);
     snapshot.histograms[name] = std::move(h);
   }
   return snapshot;
@@ -114,12 +92,11 @@ void MetricsRegistry::Merge(const MetricsSnapshot& snapshot) {
     if (histogram->bounds_ != h.bounds) {
       continue;
     }
-    Histogram::Shard& shard = histogram->shards_[ShardIndex()];
     for (size_t i = 0; i < h.buckets.size(); ++i) {
-      shard.buckets[i].fetch_add(h.buckets[i], std::memory_order_relaxed);
+      histogram->buckets_[i].fetch_add(h.buckets[i], std::memory_order_relaxed);
     }
-    shard.count.fetch_add(h.count, std::memory_order_relaxed);
-    shard.sum.fetch_add(h.sum, std::memory_order_relaxed);
+    histogram->count_.fetch_add(h.count, std::memory_order_relaxed);
+    histogram->sum_.fetch_add(h.sum, std::memory_order_relaxed);
   }
 }
 

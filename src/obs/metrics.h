@@ -1,12 +1,10 @@
 // Process-wide metrics registry (DESIGN.md §10).
 //
 // Named counters, gauges, and fixed-bucket histograms for the diagnosis
-// pipeline. The write path is lock-free: every instrument is split into
-// cache-line-padded shards indexed by a per-thread tag, and writers touch
-// only their own shard with relaxed atomics — concurrent diagnoses never
-// contend on a metrics mutex. Shards are summed on Snapshot(), which
-// may run concurrently with writers (each field is individually atomic, so a
-// snapshot is "torn" at worst across *different* metrics, never undefined).
+// pipeline. The write path is lock-free: each instrument is one set of
+// relaxed atomics. Snapshot() may run concurrently with writers (each field
+// is individually atomic, so a snapshot is "torn" at worst across
+// *different* metrics, never undefined).
 //
 // Determinism rule: metrics are pure read-side accounting. Nothing in the
 // pipeline reads a metric back to make a decision, so enabling or inspecting
@@ -17,7 +15,8 @@
 // that call sites cache in a function-local static, paying the registry
 // mutex once per call site instead of once per increment. A diagnosis
 // records into its own MetricsSnapshot instead (src/hv/diag_context.h),
-// which the facade merges into the registry once when it finishes.
+// which the facade merges into the registry once when it finishes, so the
+// registry is written once per request, scrape or merge, never per run.
 
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
@@ -36,15 +35,11 @@
 namespace aitia {
 namespace obs {
 
-// Shard fan-out. Threads hash onto shards by their small thread tag; 16 is
-// plenty for the pool sizes the pipeline uses and keeps snapshots cheap.
-inline constexpr size_t kMetricShards = 16;
-
 class Counter {
  public:
-  void Add(int64_t delta);
+  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
   void Increment() { Add(1); }
-  int64_t Value() const;
+  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
@@ -52,11 +47,7 @@ class Counter {
  private:
   friend class MetricsRegistry;
   Counter() = default;
-
-  struct alignas(64) Shard {
-    std::atomic<int64_t> value{0};
-  };
-  Shard shards_[kMetricShards];
+  std::atomic<int64_t> value_{0};
 };
 
 class Gauge {
@@ -100,13 +91,10 @@ class Histogram {
   friend class MetricsRegistry;
   explicit Histogram(std::vector<int64_t> bounds);
 
-  struct alignas(64) Shard {
-    std::vector<std::atomic<int64_t>> buckets;
-    std::atomic<int64_t> count{0};
-    std::atomic<int64_t> sum{0};
-  };
-  std::vector<int64_t> bounds_;  // ascending upper bounds
-  std::vector<Shard> shards_;
+  std::vector<int64_t> bounds_;                // ascending upper bounds
+  std::vector<std::atomic<int64_t>> buckets_;  // bounds_.size() + 1 (overflow last)
+  std::atomic<int64_t> count_{0};
+  std::atomic<int64_t> sum_{0};
 };
 
 struct HistogramSnapshot {

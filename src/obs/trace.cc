@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/obs/metrics.h"
 #include "src/util/log.h"
 #include "src/util/strings.h"
 
@@ -27,13 +26,12 @@ Tracer& Tracer::Global() {
 void Tracer::Start(size_t capacity) {
   enabled_.store(false, std::memory_order_relaxed);
   epoch_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
-  const size_t per_shard = std::max<size_t>(1, capacity / kShards);
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.events.clear();
-    shard.events.reserve(std::min<size_t>(per_shard, 4096));
-    shard.dropped = 0;
-    shard.capacity = per_shard;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    events_.clear();
+    events_.reserve(std::min<size_t>(capacity, 4096));
+    dropped_ = 0;
+    capacity_ = capacity;
   }
   enabled_.store(true, std::memory_order_relaxed);
 }
@@ -48,26 +46,21 @@ void Tracer::Record(TraceEvent&& event) {
   if (!enabled()) {
     return;
   }
-  Shard& shard = shards_[CurrentThreadTag() % kShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.events.size() >= shard.capacity) {
-    ++shard.dropped;  // bounded memory: first-come-first-kept
-    // Mirrored into the registry so ring saturation shows up in the report
-    // "metrics" section and on the scrape plane, not only in --trace output.
-    static obs::Counter* const dropped = MetricsRegistry::Global().GetCounter("trace.dropped");
-    dropped->Increment();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (events_.size() >= capacity_) {
+    ++dropped_;
     return;
   }
-  shard.events.push_back(std::move(event));
+  events_.push_back(std::move(event));
 }
 
 TraceDump Tracer::Snapshot() const {
   TraceDump dump;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    dump.events.insert(dump.events.end(), shard.events.begin(), shard.events.end());
-    dump.dropped += shard.dropped;
-    dump.capacity += shard.capacity;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    dump.events = events_;
+    dump.dropped = dropped_;
+    dump.capacity = capacity_;
   }
   std::stable_sort(dump.events.begin(), dump.events.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
@@ -121,54 +114,69 @@ std::string ToChromeTraceJson(const TraceDump& dump) {
   return json;
 }
 
-Span::Span(const char* cat, const char* name, char ph) : active_(Tracer::Global().enabled()) {
-  if (!active_) {
-    return;
+Span::Span(const char* cat, const char* name, char ph, DiagPhase phase, FrameQueue* frames)
+    : tracing_(Tracer::Global().enabled()), frames_(frames) {
+  if (tracing_) {
+    event_.ph = ph;
+    event_.cat = cat;
+    event_.name = name;
+    event_.tid = CurrentThreadTag();
+    start_us_ = Tracer::Global().NowUs();
   }
-  event_.ph = ph;
-  event_.cat = cat;
-  event_.name = name;
-  event_.tid = CurrentThreadTag();
-  start_us_ = Tracer::Global().NowUs();
+  if (frames_ != nullptr) {
+    frame_.phase = phase;
+    frame_.name = name;
+  }
 }
 
 Span::~Span() {
-  if (!active_) {
-    return;
+  if (tracing_) {
+    Tracer& tracer = Tracer::Global();
+    event_.ts_us = start_us_;
+    if (event_.ph == 'X') {
+      event_.dur_us = tracer.NowUs() - start_us_;
+    }
+    tracer.Record(std::move(event_));
   }
-  Tracer& tracer = Tracer::Global();
-  event_.ts_us = start_us_;
-  if (event_.ph == 'X') {
-    event_.dur_us = tracer.NowUs() - start_us_;
+  if (frames_ != nullptr) {
+    frames_->Push(std::move(frame_));
   }
-  tracer.Record(std::move(event_));
 }
 
 Span& Span::Arg(const char* key, const char* value) {
-  if (active_) {
-    event_.args.push_back({key, value, /*quoted=*/true});
-  }
-  return *this;
+  return active() ? Arg(key, std::string(value)) : *this;
 }
 
 Span& Span::Arg(const char* key, const std::string& value) {
-  if (active_) {
+  if (tracing_) {
     event_.args.push_back({key, value, /*quoted=*/true});
+  }
+  if (frames_ != nullptr) {
+    if (!frame_.detail.empty()) {
+      frame_.detail += ' ';
+    }
+    frame_.detail += value;
   }
   return *this;
 }
 
 Span& Span::Arg(const char* key, bool value) {
-  if (active_) {
+  if (tracing_) {
     event_.args.push_back({key, value ? "true" : "false", /*quoted=*/false});
+  }
+  if (frames_ != nullptr) {
+    frame_.counters.emplace_back(key, value ? 1 : 0);
   }
   return *this;
 }
 
 Span& Span::IntArg(const char* key, int64_t value) {
-  if (active_) {
+  if (tracing_) {
     event_.args.push_back(
         {key, StrFormat("%lld", static_cast<long long>(value)), /*quoted=*/false});
+  }
+  if (frames_ != nullptr) {
+    frame_.counters.emplace_back(key, value);
   }
   return *this;
 }

@@ -1,12 +1,14 @@
 // Structured span tracer (DESIGN.md §10).
 //
-// Ring-buffered trace events with thread tags, categories, and key/value
-// args. Disabled by default: an inactive Span is a single relaxed atomic
-// load and nothing else, so instrumentation can stay in the LIFS hot path
+// Bounded trace events with thread tags, categories, and key/value args.
+// Disabled by default: an inactive Span is a single relaxed atomic load and
+// nothing else, so instrumentation can stay in the LIFS hot path
 // permanently. When enabled (CLI --trace, or Tracer::Start in tests) events
-// land in per-shard bounded rings — memory is capped at Start() time, and
-// events past the cap are counted as dropped rather than grown or blocked
-// on.
+// land in one bounded ring — memory is capped at Start() time, and events
+// past the cap are counted as dropped rather than grown or blocked on.
+//
+// A span given a frame queue (src/obs/events.h) also streams itself as one
+// progress frame when it ends, so each site emits once for both planes.
 //
 // Determinism rule: tracing is pure read-side. Spans observe the pipeline
 // and never feed back into it, so a traced diagnosis is bit-identical to an
@@ -25,6 +27,8 @@
 #include <string>
 #include <type_traits>
 #include <vector>
+
+#include "src/obs/events.h"
 
 namespace aitia {
 namespace obs {
@@ -46,15 +50,14 @@ struct TraceEvent {
 };
 
 struct TraceDump {
-  std::vector<TraceEvent> events;  // merged across shards, sorted by ts_us
-  int64_t dropped = 0;             // events discarded once the rings filled
-  size_t capacity = 0;             // total event capacity at Start()
+  std::vector<TraceEvent> events;  // sorted by ts_us
+  int64_t dropped = 0;             // events discarded once the ring filled
+  size_t capacity = 0;             // the ring's capacity at Start()
 };
 
 class Tracer {
  public:
   static constexpr size_t kDefaultCapacity = 1 << 16;
-  static constexpr size_t kShards = 16;
 
   Tracer() = default;
   Tracer(const Tracer&) = delete;
@@ -63,8 +66,8 @@ class Tracer {
   // The process-wide tracer all Spans report to.
   static Tracer& Global();
 
-  // Clears any previous events, sets the time epoch, bounds total memory to
-  // ~`capacity` events, and enables recording.
+  // Clears any previous events, sets the time epoch, bounds memory to
+  // `capacity` events, and enables recording.
   void Start(size_t capacity = kDefaultCapacity);
 
   // Disables recording. Already-buffered events stay until the next Start.
@@ -75,24 +78,20 @@ class Tracer {
   // Microseconds since the Start epoch.
   int64_t NowUs() const;
 
-  // Appends one event to the caller's shard (drop-counted once full).
-  // No-op when disabled.
+  // Appends one event to the ring; once the ring is full the event is
+  // counted as dropped instead (first-come-first-kept). No-op when disabled.
   void Record(TraceEvent&& event);
 
-  // Merged snapshot; safe to call while recording (per-shard locks).
+  // Sorted copy of the ring; safe to call while recording.
   TraceDump Snapshot() const;
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<TraceEvent> events;
-    int64_t dropped = 0;
-    size_t capacity = 0;
-  };
-
   std::atomic<bool> enabled_{false};
   std::atomic<int64_t> epoch_ns_{0};  // steady_clock nanos at Start
-  Shard shards_[kShards];
+  mutable std::mutex mu_;             // guards the ring below
+  std::vector<TraceEvent> events_;
+  int64_t dropped_ = 0;
+  size_t capacity_ = 0;
 };
 
 // Serializes a dump to Chrome trace-event JSON ("JSON Object Format"):
@@ -106,13 +105,23 @@ std::string ToChromeTraceJson(const TraceDump& dump);
 //   span.Arg("k", interleavings).Arg("matched", matched);
 //
 //   obs::Span("lifs", "lifs.prune", 'i').Arg("reason", "dpor-nonconflicting");
+//
+// Given a frame queue, the span also pushes one `phase` frame named after it
+// when it ends: its string args, joined by spaces, become the frame's
+// detail, and its int and bool (0/1) args its counters. With the tracer off
+// and no queue the span is inactive, and Arg records nothing; guard an arg
+// that costs a string to build with active().
 class Span {
  public:
-  Span(const char* cat, const char* name, char ph = 'X');
+  Span(const char* cat, const char* name, char ph = 'X')
+      : Span(cat, name, ph, DiagPhase::kQueued, nullptr) {}
+  Span(const char* cat, const char* name, char ph, DiagPhase phase, FrameQueue* frames);
   ~Span();
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
+
+  bool active() const { return tracing_ || frames_ != nullptr; }
 
   Span& Arg(const char* key, const char* value);
   Span& Arg(const char* key, const std::string& value);
@@ -126,9 +135,11 @@ class Span {
  private:
   Span& IntArg(const char* key, int64_t value);
 
-  bool active_;
+  const bool tracing_;
+  FrameQueue* const frames_;
   int64_t start_us_ = 0;
   TraceEvent event_;
+  DiagEvent frame_;
 };
 
 }  // namespace obs

@@ -98,20 +98,19 @@ class Daemon::OnceResponder {
 
 // --- streaming relay --------------------------------------------------------
 
-// Pumps one streamed request's scope-filtered event-bus frames to its
-// transport sink. Constructed before the first lifecycle event is published
-// (the subscription exists first, so nothing is missed) and finished —
-// close, drain, join — strictly before the terminal response goes out,
-// which is what makes "every frame precedes the terminal" structural. A
-// slow or dead client only ever loses frames (bounded per-subscription
-// queue, oldest dropped and counted); it never back-pressures the worker.
+// Owns one streamed request's frame queue and pumps it to the transport
+// sink. The daemon pushes its own lifecycle frames through Publish, the
+// diagnosis's streaming spans push theirs through DiagContext::frames, and
+// both land in the one queue, in order. Constructed before the first
+// lifecycle frame and finished — close, drain, join — strictly before the
+// terminal response goes out, which is what makes "every frame precedes the
+// terminal" structural. A slow or dead client only ever loses frames
+// (bounded queue, oldest dropped and counted); it never back-pressures the
+// worker.
 class StreamRelay {
  public:
   StreamRelay(std::string id, Daemon::Responder sink)
-      : scope_(obs::EventBus::NextScope()),
-        id_(std::move(id)),
-        sink_(std::move(sink)),
-        sub_(obs::EventBus::Global().Subscribe(scope_)) {
+      : id_(std::move(id)), sink_(std::move(sink)) {
     pump_ = std::thread([this] { Pump(); });
   }
 
@@ -120,27 +119,29 @@ class StreamRelay {
   StreamRelay(const StreamRelay&) = delete;
   StreamRelay& operator=(const StreamRelay&) = delete;
 
-  uint64_t scope() const { return scope_; }
+  obs::FrameQueue* frames() { return &frames_; }
 
-  // Publishes a daemon-side lifecycle event into this request's scope. Going
-  // through the bus (instead of writing to the sink directly) keeps daemon
-  // frames ordered with pipeline frames: everything funnels through the one
-  // subscription queue.
+  // Pushes a daemon-side lifecycle frame.
   void Publish(obs::DiagPhase phase, const char* name, std::string detail = std::string(),
                std::vector<std::pair<std::string, int64_t>> counters = {}) {
-    obs::PublishDiagEvent(scope_, phase, name, std::move(detail), std::move(counters));
+    obs::DiagEvent event;
+    event.phase = phase;
+    event.name = name;
+    event.detail = std::move(detail);
+    event.counters = std::move(counters);
+    frames_.Push(std::move(event));
   }
 
-  // Closes the subscription, drains every buffered frame to the sink, joins
-  // the pump. Idempotent; must complete before the terminal Send.
+  // Closes the queue, drains every buffered frame to the sink, joins the
+  // pump. Idempotent; must complete before the terminal Send.
   void Finish() {
-    sub_->Close();
+    frames_.Close();
     if (pump_.joinable()) {
       pump_.join();
     }
     static obs::Counter* const dropped =
         obs::MetricsRegistry::Global().GetCounter("svc.stream_frames_dropped");
-    const int64_t d = sub_->dropped();
+    const int64_t d = frames_.dropped();
     if (d > reported_dropped_) {
       dropped->Add(d - reported_dropped_);
       reported_dropped_ = d;
@@ -154,7 +155,7 @@ class StreamRelay {
     static obs::Counter* const sink_errors =
         obs::MetricsRegistry::Global().GetCounter("svc.stream_sink_errors");
     for (;;) {
-      std::optional<obs::DiagEvent> event = sub_->Next(/*timeout_ms=*/200);
+      std::optional<obs::DiagEvent> event = frames_.Next(/*timeout_ms=*/200);
       if (event.has_value()) {
         if (!sink_dead_) {
           try {
@@ -172,17 +173,16 @@ class StreamRelay {
         }
         continue;
       }
-      if (sub_->closed()) {
+      if (frames_.closed()) {
         return;  // closed and fully drained
       }
     }
   }
 
-  const uint64_t scope_;
   const std::string id_;
   Daemon::Responder sink_;
-  std::shared_ptr<obs::EventSubscription> sub_;
-  std::thread pump_;
+  obs::FrameQueue frames_;
+  std::thread pump_;  // declared after what Pump() reads
   bool sink_dead_ = false;  // pump-thread only: stop writing after one failure
   int64_t reported_dropped_ = 0;
 };
@@ -523,7 +523,7 @@ void Daemon::RunDiagnose(const DiagnoseJob& job, const std::shared_ptr<OnceRespo
   ctx.deadline = DiagContext::Clock::now() + std::chrono::milliseconds(job.deadline_ms);
   ctx.cancel = [this] { return drain_hard_.load(std::memory_order_acquire); };
   if (job.relay != nullptr) {
-    ctx.event_scope = job.relay->scope();
+    ctx.frames = job.relay->frames();
   }
 
   AitiaReport report = DiagnoseScenario(job.scenario, {}, &ctx);

@@ -19,9 +19,9 @@
 // before — never after — its terminal response. The terminal is still
 // exactly one object and carries no "event" key, so existing clients that
 // match on "report"/"status" keep working and new clients demux on "event".
-// Frames are delivered by a per-request relay pumping the src/obs event bus
-// (scope-filtered, bounded, drop-counted); the pipeline itself never blocks
-// on a slow streaming consumer.
+// Frames are delivered by a per-request relay pumping the request's own
+// src/obs frame queue (bounded, drop-counted); the pipeline itself never
+// blocks on a slow streaming consumer.
 //
 // Failure model, in order of the request pipeline:
 //   - oversized / unparseable / unknown-verb input  -> "invalid_argument"

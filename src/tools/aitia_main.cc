@@ -289,14 +289,6 @@ int main(int argc, char** argv) {
       return kExitInputError;
     }
   }
-  if (const int64_t dropped =
-          obs::MetricsRegistry::Global().Snapshot().counter("trace.dropped");
-      dropped > 0 && trace_path.empty()) {
-    // With --trace the dump path already warned; surface ring saturation for
-    // metrics-only runs too so flight records are read with suspicion.
-    std::fprintf(stderr, "aitia: span ring dropped %lld event(s)\n",
-                 static_cast<long long>(dropped));
-  }
 
   std::printf("%s\n", json ? ReportToJson(report, *scenario.image).c_str()
                            : report.Render(*scenario.image).c_str());

@@ -34,8 +34,8 @@ std::optional<LogLevel> ParseLogLevel(std::string_view text);
 bool InitLogLevelFromEnv();
 
 // Small dense id for the calling thread (1, 2, 3, ... in first-use order).
-// Stable for the thread's lifetime. Shared by the log prefix, the span
-// tracer, and the metrics shard selector.
+// Stable for the thread's lifetime. Shared by the log prefix and the span
+// tracer's `tid`.
 uint32_t CurrentThreadTag();
 
 // Emits one formatted line ("[LEVEL][Tn] msg") to the sink under the sink

@@ -19,9 +19,9 @@
 //   sweep-100.json           aitia_sweep --count=100 --jobs=1 --json, compared
 //                            by the golden_sweep ctest
 //
-// The observability planes are write-only: with progress events streaming
-// to a live consumer, or with tracing into a ring far too small for a
-// diagnosis, the outputs still equal the goldens.
+// The observability planes are write-only: with progress frames streaming
+// to a live consumer, or with tracing into a ring too small for the longest
+// diagnoses, the outputs still equal the goldens.
 //
 // An intended output change regenerates every golden with one command and
 // says why in CHANGES.md:
@@ -196,24 +196,23 @@ TEST(GoldenTest, EventsOnEqualsGolden) {
   for (const ScenarioEntry& entry : AllScenarios()) {
     SCOPED_TRACE(entry.id);
     const BugScenario s = entry.make();
-    const uint64_t scope = obs::EventBus::NextScope();
-    auto sub = obs::EventBus::Global().Subscribe(scope, /*capacity=*/8192);
+    obs::FrameQueue queue(/*capacity=*/8192);
     std::string frames;
-    std::thread consumer([&sub, &frames] {
-      while (std::optional<obs::DiagEvent> event = sub->Next(1000)) {
+    std::thread consumer([&queue, &frames] {
+      while (std::optional<obs::DiagEvent> event = queue.Next(1000)) {
         frames += obs::DiagEventToJson(*event) + "\n";
       }
     });
     DiagContext ctx;
-    ctx.event_scope = scope;
+    ctx.frames = &queue;
     const AitiaReport report = DiagnoseScenario(s, {}, &ctx);
-    sub->Close();
+    queue.Close();
     consumer.join();
-    while (std::optional<obs::DiagEvent> event = sub->Next(0)) {
+    while (std::optional<obs::DiagEvent> event = queue.Next(0)) {
       frames += obs::DiagEventToJson(*event) + "\n";  // close-then-drain stragglers
     }
-    EXPECT_EQ(sub->dropped(), 0);
-    EXPECT_FALSE(frames.empty()) << "a scoped diagnosis published no events";
+    EXPECT_EQ(queue.dropped(), 0);
+    EXPECT_FALSE(frames.empty()) << "a streamed diagnosis pushed no frames";
     ExpectGolden(CorpusGolden(entry, ".events"), frames);
     if (!g_update) {
       ExpectGolden(CorpusGolden(entry, ".json"), CanonicalJson(report, *s.image));
@@ -222,8 +221,9 @@ TEST(GoldenTest, EventsOnEqualsGolden) {
   }
 }
 
-// Tracing on, into a 512-event ring that every diagnosis overflows, so the
-// drop path runs too: the explored order and the report equal the goldens.
+// Tracing on, into a 32-event ring that the longest searches overflow
+// (CVE-2017-15649, CVE-2017-2636, syz-02, syz-08 and syz-09), so the drop
+// path runs too: the explored order and the report equal the goldens.
 TEST(GoldenTest, TracingOnEqualsGolden) {
   if (g_update) {
     GTEST_SKIP() << "compares against the goldens the tests above wrote";
@@ -232,7 +232,7 @@ TEST(GoldenTest, TracingOnEqualsGolden) {
   for (const ScenarioEntry& entry : AllScenarios()) {
     SCOPED_TRACE(entry.id);
     const BugScenario s = entry.make();
-    obs::Tracer::Global().Start(512);
+    obs::Tracer::Global().Start(32);
     const AitiaReport report = DiagnoseScenario(s, KeepExplored());
     dropped += obs::Tracer::Global().Snapshot().dropped;
     obs::Tracer::Global().Stop();

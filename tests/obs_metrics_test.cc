@@ -1,5 +1,5 @@
-// Tests for the metrics registry (src/obs/metrics): shard merging under a
-// thread pool, histogram bucket edges, snapshot-while-writing safety,
+// Tests for the metrics registry (src/obs/metrics): concurrent increments
+// under a thread pool, histogram bucket edges, snapshot-while-writing safety,
 // merging a diagnosis's snapshot, and JSON/text serialization.
 //
 // Each test writes into a private registry, so the counts the pipeline
@@ -35,8 +35,8 @@ TEST(MetricsCounterTest, SameNameSameInstrument) {
 }
 
 TEST(MetricsCounterTest, ShardMergeUnderThreadPool) {
-  // N threads x M increments must merge to exactly N*M: no lost updates
-  // across shards, no double counting in the snapshot merge.
+  // N threads x M increments of one counter must read exactly N*M, in the
+  // counter and in a snapshot: no lost updates between concurrent writers.
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
   MetricsRegistry reg;

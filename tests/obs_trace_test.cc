@@ -53,17 +53,18 @@ TEST_F(TracerTest, StartClearsPreviousEvents) {
 }
 
 TEST_F(TracerTest, RingIsBoundedAndCountsDrops) {
-  // Capacity 16 spreads to 1 slot per shard; a single thread writes into
-  // exactly one shard, so only the first event survives (first-come-first-
-  // kept: early-phase spans are never evicted by later ones).
+  // One ring of 16: the first 16 events survive (first-come-first-kept:
+  // early-phase spans are never evicted by later ones), the rest are counted.
   Tracer::Global().Start(16);
   for (int i = 0; i < 100; ++i) {
-    Span("cat", i == 0 ? "kept" : "dropped", 'i');
+    Span("cat", i < 16 ? "kept" : "dropped", 'i');
   }
   const TraceDump dump = Tracer::Global().Snapshot();
-  ASSERT_EQ(dump.events.size(), 1u);
-  EXPECT_EQ(dump.events[0].name, "kept");
-  EXPECT_EQ(dump.dropped, 99);
+  ASSERT_EQ(dump.events.size(), 16u);
+  for (const TraceEvent& e : dump.events) {
+    EXPECT_EQ(e.name, "kept");
+  }
+  EXPECT_EQ(dump.dropped, 84);
   EXPECT_EQ(dump.capacity, 16u);
 }
 
